@@ -9,13 +9,10 @@ oracles, and ships the `exunits` command line tool on top.
 
 from .arith import (
     PrimeFactorization,
-    euler_phi,
     factorize,
     gcd,
     is_prime,
     mod_inverse,
-    omega,
-    p_adic_valuation,
 )
 from .counting import (
     MAX_K,
@@ -90,7 +87,6 @@ __all__ = [
     "count",
     "count_avoiding_tuples",
     "count_zero_product_tuples",
-    "euler_phi",
     "eval_mod",
     "exunit_set",
     "factorize",
@@ -100,11 +96,9 @@ __all__ = [
     "linear_count",
     "local_count",
     "mod_inverse",
-    "omega",
     "oracle_global_count",
     "oracle_global_count_dp",
     "oracle_local_count",
-    "p_adic_valuation",
     "quadratic_count",
     "root_composition_count",
     "root_set_mod_p",

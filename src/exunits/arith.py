@@ -1,5 +1,5 @@
-"""Exact elementary number theory: gcd, primality, factorization, totient,
-valuations and modular inverses.
+"""Exact elementary number theory: gcd, primality, factorization and modular
+inverses.
 
 Counting results elsewhere grow like n**(k-1), so everything here sticks to
 plain Python integers and is never allowed to round or approximate.
@@ -18,9 +18,6 @@ __all__ = [
     "gcd",
     "is_prime",
     "factorize",
-    "euler_phi",
-    "omega",
-    "p_adic_valuation",
     "mod_inverse",
 ]
 
@@ -159,37 +156,6 @@ def factorize(n: int) -> PrimeFactorization:
     if n < 1:
         raise DomainError("factorize requires n >= 1")
     return _factorize_cached(n)
-
-
-def euler_phi(n: int) -> int:
-    """Euler's totient, computed exactly from the factorization of n."""
-    if n < 1:
-        raise DomainError("euler_phi requires n >= 1")
-    out = n
-    for p, _ in factorize(n):
-        out = out // p * (p - 1)
-    return out
-
-
-def omega(n: int) -> int:
-    """Number of distinct prime divisors of n; omega(1) == 0."""
-    if n < 1:
-        raise DomainError("omega requires n >= 1")
-    return len(factorize(n))
-
-
-def p_adic_valuation(m: int, p: int) -> int:
-    """The unique r with p**r dividing m but p**(r+1) not; sign-insensitive."""
-    if m == 0:
-        raise DomainError("the valuation of 0 is undefined")
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    m = abs(m)
-    r = 0
-    while m % p == 0:
-        m //= p
-        r += 1
-    return r
 
 
 def mod_inverse(a: int, p: int) -> int:

@@ -11,11 +11,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 
 import click
 
-from .counting import CountQuery, CountReport
+from .counting import MAX_K, CountQuery, CountReport
 from .counting import count as compute_count
 from .errors import (
     BudgetExceededError,
@@ -44,14 +43,14 @@ EXIT_INAPPLICABLE = 3
               default=None, help="Output format; defaults to plain (csv for table).")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Seed for any suite that samples instead of exhausting.")
-@click.option("--workers", type=int, default=None,
-              help="Worker processes for verify (default: CPU count).")
+@click.option("--workers", type=int, default=1, show_default=True,
+              help="Worker processes for verify's oracle-equivalence suite.")
 @click.option("--scan-cap", type=int, default=DEFAULT_SCAN_CAP, show_default=True,
               help="Largest prime allowed in a root scan.")
 @click.option("--enum-budget", type=int, default=None,
               help="Override the enumeration budgets (exunit listing and oracles).")
 @click.pass_context
-def cli(ctx: click.Context, fmt: str | None, seed: int, workers: int | None,
+def cli(ctx: click.Context, fmt: str | None, seed: int, workers: int,
         scan_cap: int, enum_budget: int | None) -> None:
     """Count representations of c as a sum of k f-exunits modulo n.
 
@@ -62,7 +61,7 @@ def cli(ctx: click.Context, fmt: str | None, seed: int, workers: int | None,
     ctx.obj = {
         "format": fmt,
         "seed": seed,
-        "workers": workers if workers is not None else (os.cpu_count() or 1),
+        "workers": workers,
         "scan_cap": scan_cap,
         "enum_budget": enum_budget,
     }
@@ -219,7 +218,7 @@ def cmd_verify(ctx: click.Context, n_max: int, k_text: str,
             k_values = tuple(sorted({int(t.strip()) for t in k_text.split(",") if t.strip()}))
         except ValueError:
             raise DomainError(f"bad arity list {k_text!r}") from None
-        if not k_values or any(k < 2 for k in k_values):
+        if not k_values or any(not 2 <= k <= MAX_K for k in k_values):
             raise DomainError(f"bad arity list {k_text!r}")
         if n_max < 1:
             raise DomainError("--n-max must be >= 1")
@@ -229,8 +228,12 @@ def cmd_verify(ctx: click.Context, n_max: int, k_text: str,
     except DomainError as exc:
         _fail(ctx, str(exc), EXIT_INPUT)
         return
-    results = run_all(family, k_values, n_max, seed=ctx.obj["seed"],
-                      workers=ctx.obj["workers"], inject_fault=inject_fault)
+    try:
+        results = run_all(family, k_values, n_max, seed=ctx.obj["seed"],
+                          workers=ctx.obj["workers"], inject_fault=inject_fault)
+    except BudgetExceededError as exc:
+        _fail(ctx, str(exc), EXIT_INPUT)
+        return
     if fmt == "json":
         click.echo(json.dumps([
             {"suite": r.name, "passed": r.passed, "cases": r.cases,

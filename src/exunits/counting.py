@@ -22,20 +22,28 @@ assembly, regrouped to avoid rational arithmetic, is
 
     N(n) = prod over p**e || n of  p**((e-1)*(k-1)) * (p**(k-1) - M).
 
-On top of the general route there are dedicated evaluations for linear f
-with unit leading coefficient, for quadratics split into integer linear
-factors, for plain unit sums (Brauer's classical count) and for sums of
-exceptional units (x and 1 - x both units).
+The general, linear and split-quadratic routes run this one per-prime
+engine and differ only in the precondition they check against n. Per prime
+the roots come in closed form (coprime-linear or split-quadratic f) or from
+a scan, and W is an indicator for r = 1, a binomial class sum for r = 2 and
+a composition walk for r >= 3. Brauer's unit-sum count and the
+exceptional-unit count (x and 1 - x both units) stay independent closed forms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .arith import factorize, is_prime, mod_inverse
-from .errors import DomainError, FastPathInapplicableError, InvariantViolationError
+from .errors import (
+    BudgetExceededError,
+    DomainError,
+    FastPathInapplicableError,
+    InvariantViolationError,
+)
 from .poly import (
     DEFAULT_SCAN_CAP,
     IntPolynomial,
@@ -47,6 +55,7 @@ from .poly import (
 
 __all__ = [
     "MAX_K",
+    "MAX_COMPOSITION_TERMS",
     "CountQuery",
     "RootProfile",
     "LocalFactor",
@@ -65,6 +74,10 @@ __all__ = [
 # Binomial weights C(k, j) are exact big integers, but the j-loops are O(k),
 # so k is kept to desk scale.
 MAX_K = 10**6
+
+# A composition walk over r >= 3 roots visits C(k + r - 1, r - 1) terms of
+# about a microsecond each; past this many it is refused before it starts.
+MAX_COMPOSITION_TERMS = 10**5
 
 
 @dataclass(frozen=True)
@@ -132,19 +145,47 @@ def _validated_roots(roots: Sequence[int], p: int) -> tuple[int, ...]:
     return reduced
 
 
+def _binomial_class_sum(k: int, coef: int, target: int, p: int) -> int:
+    """Sum of C(k, j) over 0 <= j <= k with coef*j == target (mod p)."""
+    total = 0
+    binom = 1
+    for j in range(k + 1):
+        if (coef * j - target) % p == 0:
+            total += binom
+        binom = binom * (k - j) // (j + 1)
+    return total
+
+
+def _few_root_sum(roots: tuple[int, ...], k: int, c: int, p: int) -> int:
+    # W for r <= 2 distinct reduced roots: with one root x every tuple sums
+    # to k*x; with roots {a, b} a tuple taking a j times sums to a*j + b*(k-j).
+    if not roots:
+        return 0
+    if len(roots) == 1:
+        return int((k * roots[0] - c) % p == 0)
+    a, b = roots
+    return _binomial_class_sum(k, (a - b) % p, (c - b * k) % p, p)
+
+
 def root_composition_count(roots: Sequence[int], k: int, c: int, p: int) -> int:
     """Ordered k-tuples (repetition allowed) of the given residues summing to
     c mod p.
 
-    Enumerates compositions j_1 + ... + j_r = k of the multiplicities and adds
-    the multinomial coefficient k!/(j_1!...j_r!) whenever the weighted sum of
-    roots lands on c. O(k**(r-1)) composition terms.
+    Up to two roots this is a closed-form sum. For r >= 3 it enumerates
+    compositions j_1 + ... + j_r = k of the multiplicities and adds the
+    multinomial coefficient k!/(j_1!...j_r!) whenever the weighted sum of
+    roots lands on c: C(k + r - 1, r - 1) terms, refused with
+    BudgetExceededError above MAX_COMPOSITION_TERMS.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
     reduced = _validated_roots(roots, p)
-    if not reduced:
-        return 0
+    if len(reduced) <= 2:
+        return _few_root_sum(reduced, k, c, p)
+    terms = math.comb(k + len(reduced) - 1, len(reduced) - 1)
+    if terms > MAX_COMPOSITION_TERMS:
+        raise BudgetExceededError(
+            f"{terms} root compositions exceed the budget {MAX_COMPOSITION_TERMS}")
     target = c % p
     last = len(reduced) - 1
     total = 0
@@ -171,6 +212,16 @@ def _avoiding_from_root_sum(p: int, r: int, k: int, w: int) -> int:
     return t
 
 
+def _root_and_avoiding_sums(p: int, roots: tuple[int, ...], k: int, c: int) -> tuple[int, int]:
+    # (W, T) for the distinct reduced roots of f at p. When f vanishes
+    # identically mod p every tuple hits a root, so T = 0 with no W walk.
+    r = len(roots)
+    if r == p:
+        return p ** (k - 1), 0
+    w = _few_root_sum(roots, k, c, p) if r <= 2 else root_composition_count(roots, k, c, p)
+    return w, _avoiding_from_root_sum(p, r, k, w)
+
+
 def count_avoiding_tuples(p: int, roots: Sequence[int], k: int, c: int) -> int:
     """k-tuples over Z_p minus the given roots summing to c mod p.
 
@@ -180,24 +231,27 @@ def count_avoiding_tuples(p: int, roots: Sequence[int], k: int, c: int) -> int:
     """
     if k < 1:
         raise DomainError("k must be >= 1")
-    reduced = _validated_roots(roots, p)
-    if len(reduced) == p:
-        return 0
-    w = root_composition_count(reduced, k, c, p)
-    return _avoiding_from_root_sum(p, len(reduced), k, w)
+    return _root_and_avoiding_sums(p, _validated_roots(roots, p), k, c)[1]
 
 
-def _roots_for_prime(f: IntPolynomial, p: int, scan_cap: int) -> tuple[int, ...]:
-    # Closed-form root extraction when f is coprime-linear or split-quadratic
-    # against this prime; otherwise an exhaustive scan under the cap.
-    form = classify(f, p)
+@lru_cache(maxsize=4096)
+def _closed_form_roots(coeffs: tuple[int, ...], p: int) -> tuple[int, ...] | None:
+    # The roots of f mod p by modular inverses when f is coprime-linear or
+    # split-quadratic against p (any prime size, no scan), else None. Keyed
+    # by the coefficient tuple, whose hash is cheaper than the polynomial's.
+    form = classify(IntPolynomial(coeffs), p)
     if isinstance(form, LinearCoprime):
         return ((-form.b) * mod_inverse(form.a, p) % p,)
     if isinstance(form, SplitQuadratic):
         x = form.a2 * mod_inverse(form.a1, p) % p
         y = form.b2 * mod_inverse(form.b1, p) % p
         return (x, y) if x < y else (y, x)
-    return root_set_mod_p(f, p, scan_cap=scan_cap)
+    return None
+
+
+def _roots_for_prime(f: IntPolynomial, p: int, scan_cap: int) -> tuple[int, ...]:
+    roots = _closed_form_roots(f.coeffs, p)
+    return root_set_mod_p(f, p, scan_cap=scan_cap) if roots is None else roots
 
 
 def local_count(f: IntPolynomial, k: int, c: int, p: int,
@@ -212,15 +266,8 @@ def local_count(f: IntPolynomial, k: int, c: int, p: int,
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     roots = _roots_for_prime(f, p, scan_cap)
-    r = len(roots)
-    c %= p
-    if r == p:
-        w = p ** (k - 1)
-        t = 0
-    else:
-        w = root_composition_count(roots, k, c, p)
-        t = _avoiding_from_root_sum(p, r, k, w)
-    return RootProfile(p, roots, r, w, t, p ** (k - 1) - t)
+    w, t = _root_and_avoiding_sums(p, roots, k, c % p)
+    return RootProfile(p, roots, len(roots), w, t, p ** (k - 1) - t)
 
 
 def _local_factor(p: int, e: int, k: int, unit: int) -> LocalFactor:
@@ -239,83 +286,48 @@ def _assemble(method: str, factors: list[LocalFactor]) -> CountReport:
     return CountReport(value, method, tuple(factors))
 
 
-def global_count(q: CountQuery, scan_cap: int = DEFAULT_SCAN_CAP) -> CountReport:
-    """Exact N for any polynomial, via per-prime obstruction counts."""
-    c = q.c_reduced
+def _per_prime_count(q: CountQuery, method: str,
+                     scan_cap: int = DEFAULT_SCAN_CAP) -> CountReport:
+    # The one engine behind every formula route: per prime, roots, then
+    # (W, T), then the regrouped factor; method only labels the report.
+    k, c = q.k, q.c_reduced
     factors = []
     for p, e in factorize(q.n):
-        profile = local_count(q.f, q.k, c, p, scan_cap=scan_cap)
-        unit = p ** (q.k - 1) - profile.obstruction_count
-        factors.append(_local_factor(p, e, q.k, unit))
-    return _assemble("general", factors)
+        _, t = _root_and_avoiding_sums(p, _roots_for_prime(q.f, p, scan_cap), k, c % p)
+        factors.append(_local_factor(p, e, k, t))
+    return _assemble(method, factors)
+
+
+def global_count(q: CountQuery, scan_cap: int = DEFAULT_SCAN_CAP) -> CountReport:
+    """Exact N for any polynomial, via per-prime obstruction counts."""
+    return _per_prime_count(q, "general", scan_cap)
 
 
 def linear_count(q: CountQuery) -> CountReport:
     """N for f = a*x + b with gcd(a, n) = 1.
 
-    Per prime the contribution is ((p-1)**k + (-1)**k * d_p) / p where d_p is
-    p - 1 if p divides a*c + k*b and -1 otherwise; the division is exact and
-    asserted, never rounded.
+    At every p | n the single root is -b/a, so W is 1 when p divides
+    a*c + k*b and 0 otherwise; raises FastPathInapplicableError when f is
+    not of that form against n.
     """
-    form = classify(q.f, q.n)
-    if not isinstance(form, LinearCoprime):
+    if not isinstance(classify(q.f, q.n), LinearCoprime):
         raise FastPathInapplicableError(
             "f is not linear with leading coefficient coprime to n")
-    k = q.k
-    c = q.c_reduced
-    sign = (-1) ** k
-    shifted_target = form.a * c + k * form.b
-    factors = []
-    for p, e in factorize(q.n):
-        delta = p - 1 if shifted_target % p == 0 else -1
-        numerator = (p - 1) ** k + sign * delta
-        unit, rem = divmod(numerator, p)
-        if rem:
-            raise InvariantViolationError("linear per-prime factor is not an integer")
-        factors.append(_local_factor(p, e, k, unit))
-    return _assemble("linear", factors)
-
-
-def _binomial_class_sum(k: int, coef: int, target: int, p: int) -> int:
-    """Sum of C(k, j) over 0 <= j <= k with coef*j == target (mod p)."""
-    total = 0
-    binom = 1
-    for j in range(k + 1):
-        if (coef * j - target) % p == 0:
-            total += binom
-        binom = binom * (k - j) // (j + 1)
-    return total
+    return _per_prime_count(q, "linear")
 
 
 def quadratic_count(q: CountQuery) -> CountReport:
     """N for f = (a1*x - a2)(b1*x - b2) with a1, b1, a1*b2 - a2*b1 units mod n.
 
-    Per prime the root pair is a2/a1 and b2/b1 (computable by modular inverse
-    for any prime size, no scan), and the contribution is
-
-        (-1)**k * (p * S + (2-p)**k - 2**k) / p
-
-    with S the sum of C(k, j) over the class (a2*b1 - a1*b2)*j ==
-    a1*b1*c - a1*b2*k (mod p). The division is exact and asserted.
+    At every p | n the root pair is a2/a1 and b2/b1 (computable by modular
+    inverse for any prime size, no scan), and W is the sum of C(k, j) over
+    the class (a2*b1 - a1*b2)*j == a1*b1*c - a1*b2*k (mod p); raises
+    FastPathInapplicableError when f is not of that form against n.
     """
-    form = classify(q.f, q.n)
-    if not isinstance(form, SplitQuadratic):
+    if not isinstance(classify(q.f, q.n), SplitQuadratic):
         raise FastPathInapplicableError(
             "f does not split into integer linear factors that are unit-compatible with n")
-    k = q.k
-    c = q.c_reduced
-    sign = (-1) ** k
-    coef = form.a2 * form.b1 - form.a1 * form.b2
-    target = form.a1 * form.b1 * c - form.a1 * form.b2 * k
-    factors = []
-    for p, e in factorize(q.n):
-        s = _binomial_class_sum(k, coef % p, target % p, p)
-        bracket = p * s + (2 - p) ** k - 2**k
-        unit, rem = divmod(sign * bracket, p)
-        if rem:
-            raise InvariantViolationError("quadratic per-prime factor is not an integer")
-        factors.append(_local_factor(p, e, k, unit))
-    return _assemble("quadratic", factors)
+    return _per_prime_count(q, "quadratic")
 
 
 def _check_k_n(k: int, n: int) -> None:
@@ -352,8 +364,8 @@ def yang_zhao_count(k: int, c: int, n: int) -> CountReport:
     """Number of ways to write c mod n as a sum of k exceptional units
     (residues x with both x and 1 - x units).
 
-    This is the split-quadratic evaluation specialised to f = x*(1-x), with
-    the binomial class taken literally as j == c (mod p); its agreement with
+    Per prime the contribution is (-1)**k * (p*S + (2-p)**k - 2**k) / p with
+    S the sum of C(k, j) over j == c (mod p); its agreement with
     quadratic_count on f = x - x**2 is a tested identity, not an assumption.
     """
     _check_k_n(k, n)
@@ -372,20 +384,18 @@ def yang_zhao_count(k: int, c: int, n: int) -> CountReport:
 
 def count(q: CountQuery, method: str = "auto",
           scan_cap: int = DEFAULT_SCAN_CAP) -> CountReport:
-    """Dispatch a query to the cheapest applicable formula.
-
-    method "auto" picks the route from classify(f, n) and records which one
-    ran; an explicitly requested fast path whose preconditions fail raises
-    FastPathInapplicableError. All routes agree in value whenever their
+    """Count q by the named route; all routes agree in value whenever their
     preconditions hold.
+
+    method "auto" labels the report by classify(f, n): "linear",
+    "quadratic" or "general". An explicitly requested fast path whose
+    preconditions fail raises FastPathInapplicableError.
     """
     if method == "auto":
         form = classify(q.f, q.n)
-        if isinstance(form, LinearCoprime):
-            return linear_count(q)
-        if isinstance(form, SplitQuadratic):
-            return quadratic_count(q)
-        return global_count(q, scan_cap=scan_cap)
+        label = ("linear" if isinstance(form, LinearCoprime)
+                 else "quadratic" if isinstance(form, SplitQuadratic) else "general")
+        return _per_prime_count(q, label, scan_cap)
     if method == "general":
         return global_count(q, scan_cap=scan_cap)
     if method == "linear":

@@ -28,7 +28,8 @@ __all__ = [
 ]
 
 DEFAULT_TUPLE_BUDGET = 10**8
-DEFAULT_DP_BUDGET = 10**5
+# Cost units (n**2 per convolution) the convolution oracle may spend.
+DEFAULT_DP_BUDGET = 10**7
 
 
 def _value_at(coeffs: tuple[int, ...], x: int) -> int:
@@ -86,9 +87,15 @@ def _sum_distribution(coeffs: tuple[int, ...], k: int, n: int) -> tuple[int, ...
 
 def oracle_global_count_dp(q: CountQuery, budget: int = DEFAULT_DP_BUDGET) -> int:
     """N as the c-th entry of the k-fold cyclic convolution of the exunit
-    indicator vector; exact integers throughout, O(n**2 log k)."""
-    if q.n > budget:
-        raise BudgetExceededError(f"n = {q.n} exceeds the convolution budget {budget}")
+    indicator vector; exact integers throughout.
+
+    The cost, n**2 times the number of convolutions the square-and-multiply
+    over k does, is estimated up front and refused above the budget.
+    """
+    cost = q.n**2 * (q.k.bit_length() + q.k.bit_count() - 2)
+    if cost > budget:
+        raise BudgetExceededError(
+            f"convolution cost n**2 * steps = {cost} exceeds the budget {budget}")
     return _sum_distribution(q.f.coeffs, q.k, q.n)[q.c % q.n]
 
 

@@ -14,7 +14,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
@@ -83,10 +82,6 @@ class IntPolynomial:
         if not tokens or any(not _COEFF_RE.fullmatch(t) for t in tokens):
             raise DomainError(f"bad polynomial text: {text!r}")
         return cls(tuple(int(t) for t in tokens))
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable[int]) -> "IntPolynomial":
-        return cls(tuple(coeffs))
 
     def to_text(self) -> str:
         return ",".join(str(c) for c in self.coeffs)

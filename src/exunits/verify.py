@@ -14,6 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
+from .arith import mod_inverse
 from .counting import (
     CountQuery,
     brauer_count,
@@ -193,13 +194,27 @@ def yang_zhao_agreement(k_values: Sequence[int], n_max: int) -> tuple[int, dict 
     return cases, None
 
 
+def _independent_count(form: LinearCoprime | SplitQuadratic, k: int, c: int, n: int) -> int:
+    # The classical closed form a fast path must reproduce: f-exunits of
+    # a*x + b are units shifted by c -> a*c + k*b, and x = a2/a1 +
+    # (b2/b1 - a2/a1)*y maps the exceptional units y onto the f-exunits of
+    # (a1*x - a2)(b1*x - b2), shifting c -> (a1*b1*c - k*a2*b1) / (a1*b2 - a2*b1).
+    if isinstance(form, LinearCoprime):
+        return brauer_count(k, (form.a * c + k * form.b) % n, n).value
+    scale = mod_inverse(form.a1 * form.b2 - form.a2 * form.b1, n)
+    shifted = (form.a1 * form.b1 * c - k * form.a2 * form.b1) * scale % n
+    return yang_zhao_count(k, shifted, n).value
+
+
 def fast_path_suite(polys: Sequence[str], k_values: Sequence[int],
                     n_max: int) -> SuiteResult:
-    """Every applicable fast path must reproduce the general count.
+    """Every applicable fast path must reproduce the general count and an
+    independent classical count.
 
-    Linear queries are also checked against the classical unit-sum count
-    through the shift c -> a*c + k*b that turns f-exunits of a*x + b into
-    plain units.
+    The fast paths share the general route's per-prime engine, so linear
+    queries are also checked against brauer_count and split-quadratic ones
+    against yang_zhao_count, each through the change of target that carries
+    its exunits onto f's.
     """
     cases = 0
     for poly in polys:
@@ -208,26 +223,22 @@ def fast_path_suite(polys: Sequence[str], k_values: Sequence[int],
             for n in range(1, n_max + 1):
                 form = classify(f, n)
                 if isinstance(form, LinearCoprime):
-                    for c in range(n):
-                        fast = linear_count(CountQuery(f, k, c, n)).value
-                        general = global_count(CountQuery(f, k, c, n)).value
-                        classical = brauer_count(k, (form.a * c + k * form.b) % n, n).value
-                        cases += 1
-                        if not fast == general == classical:
-                            return SuiteResult.fail(
-                                "fast-path-agreement", cases,
-                                _mismatch(poly, k, c, n, fast, general,
-                                          "linear_count vs global_count vs brauer_count"))
+                    fast_count, label = linear_count, "linear_count vs global_count vs brauer_count"
                 elif isinstance(form, SplitQuadratic):
-                    for c in range(n):
-                        fast = quadratic_count(CountQuery(f, k, c, n)).value
-                        general = global_count(CountQuery(f, k, c, n)).value
-                        cases += 1
-                        if fast != general:
-                            return SuiteResult.fail(
-                                "fast-path-agreement", cases,
-                                _mismatch(poly, k, c, n, fast, general,
-                                          "quadratic_count vs global_count"))
+                    fast_count, label = (quadratic_count,
+                                         "quadratic_count vs global_count vs yang_zhao_count")
+                else:
+                    continue
+                for c in range(n):
+                    fast = fast_count(CountQuery(f, k, c, n)).value
+                    general = global_count(CountQuery(f, k, c, n)).value
+                    independent = _independent_count(form, k, c, n)
+                    cases += 1
+                    if not fast == general == independent:
+                        return SuiteResult.fail(
+                            "fast-path-agreement", cases,
+                            _mismatch(poly, k, c, n, fast,
+                                      general if fast != general else independent, label))
     extra, counterexample = yang_zhao_agreement(k_values, n_max)
     cases += extra
     if counterexample is not None:

@@ -1,18 +1,7 @@
 import pytest
 
 from exunits.poly import IntPolynomial
-
-# The fixed polynomial family every sweep uses, as coefficient text.
-FAMILY_TEXTS = (
-    "0,1",        # x
-    "1,1",        # x + 1
-    "3,2",        # 2x + 3
-    "0,1,-1",     # x - x**2
-    "1,0,1",      # x**2 + 1
-    "1,1,1",      # x**2 + x + 1
-    "1,1,0,1",    # x**3 + x + 1
-    "1,5,6",      # 6x**2 + 5x + 1
-)
+from exunits.verify import DEFAULT_POLYNOMIALS as FAMILY_TEXTS
 
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13)
 

@@ -4,15 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exunits.arith import (
-    euler_phi,
-    factorize,
-    gcd,
-    is_prime,
-    mod_inverse,
-    omega,
-    p_adic_valuation,
-)
+from exunits.arith import factorize, gcd, is_prime, mod_inverse
 from exunits.errors import DomainError, NotInvertibleError
 
 
@@ -57,59 +49,6 @@ def test_is_prime_matches_trial_division():
 
     for n in range(2500):
         assert is_prime(n) == trial(n), n
-
-
-def test_euler_phi_examples():
-    assert euler_phi(1) == 1
-    assert euler_phi(12) == 4
-    assert euler_phi(360) == 96
-    assert euler_phi(360) == sum(1 for a in range(1, 361) if math.gcd(a, 360) == 1)
-
-
-def test_euler_phi_is_multiplicative():
-    for m in range(1, 50):
-        for n in range(1, 50):
-            if math.gcd(m, n) == 1:
-                assert euler_phi(m * n) == euler_phi(m) * euler_phi(n)
-
-
-@given(st.integers(1, 1000), st.integers(1, 1000))
-@settings(max_examples=150, deadline=None)
-def test_euler_phi_multiplicative_up_to_1000(m, n):
-    if math.gcd(m, n) == 1:
-        assert euler_phi(m * n) == euler_phi(m) * euler_phi(n)
-
-
-def test_euler_phi_divisor_sum():
-    for n in range(1, 1001):
-        assert sum(euler_phi(d) for d in range(1, n + 1) if n % d == 0) == n
-
-
-def test_omega_examples():
-    assert omega(1) == 0
-    assert omega(12) == 2
-    assert omega(30030) == 6
-
-
-def test_p_adic_valuation_examples():
-    assert p_adic_valuation(24, 2) == 3
-    assert p_adic_valuation(24, 5) == 0
-    assert p_adic_valuation(-54, 3) == 3
-
-
-def test_p_adic_valuation_rejections():
-    with pytest.raises(DomainError):
-        p_adic_valuation(0, 2)
-    with pytest.raises(DomainError):
-        p_adic_valuation(10, 4)
-
-
-def test_p_adic_valuation_recovers_exponent():
-    for p in (2, 3, 5, 7):
-        for r in range(6):
-            for m in (1, 5, 11, 13):
-                if m % p:
-                    assert p_adic_valuation(p**r * m, p) == r
 
 
 def test_mod_inverse_examples():

@@ -81,6 +81,16 @@ def test_auto_matches_every_applicable_method():
         assert run("count", *args, "--method", method).output == auto.output
 
 
+def test_count_over_budget_exits_2_before_computing():
+    dp = run("count", "--poly", "0,1", "--k", "3", "--c", "0", "--n", "100000",
+             "--method", "oracle-dp")
+    assert dp.exit_code == 2
+    assert "budget" in dp.stderr
+    walk = run("count", "--poly", "0,-1,0,1", "--k", "800", "--c", "1", "--n", "7")
+    assert walk.exit_code == 2
+    assert "budget" in walk.stderr
+
+
 def test_table_csv():
     result = run("table", "--poly", "0,1,-1", "--k", "2", "--n", "5")
     assert result.exit_code == 0
@@ -168,3 +178,10 @@ def test_verify_output_is_worker_invariant():
 def test_verify_rejects_bad_arities():
     assert run("verify", "--n-max", "3", "--k", "1").exit_code == 2
     assert run("verify", "--n-max", "3", "--k", "x").exit_code == 2
+    assert run("verify", "--n-max", "3", "--k", "1000001").exit_code == 2
+
+
+def test_verify_over_budget_exits_2():
+    result = run("verify", "--n-max", "5", "--k", "800", "--poly", "0,-1,0,1")
+    assert result.exit_code == 2
+    assert "budget" in result.stderr

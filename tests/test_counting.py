@@ -15,10 +15,10 @@ from exunits.counting import (
     root_composition_count,
     yang_zhao_count,
 )
-from exunits.arith import factorize
-from exunits.errors import DomainError, FastPathInapplicableError
-from exunits.oracle import oracle_global_count, oracle_local_count
-from exunits.poly import IntPolynomial, exunit_set
+from exunits.arith import factorize, mod_inverse
+from exunits.errors import BudgetExceededError, DomainError, FastPathInapplicableError
+from exunits.oracle import oracle_global_count, oracle_global_count_dp, oracle_local_count
+from exunits.poly import IntPolynomial, LinearCoprime, SplitQuadratic, classify, exunit_set
 from conftest import SMALL_PRIMES
 
 X = IntPolynomial.parse("0,1")
@@ -74,6 +74,15 @@ def test_two_root_composition_is_a_binomial_class_sum():
                             math.comb(k, j) for j in range(k + 1)
                             if ((a - b) * j - (c - b * k)) % p == 0)
                         assert root_composition_count((a, b), k, c, p) == classed
+
+
+def test_root_composition_budget():
+    # r >= 3 walks C(k + r - 1, r - 1) compositions: C(802, 2) = 321201 is refused
+    with pytest.raises(BudgetExceededError):
+        root_composition_count((0, 1, 6), 800, 1, 7)
+    # a polynomial vanishing identically mod p needs no walk at any k
+    cubic = IntPolynomial.parse("0,-1,0,1")
+    assert local_count(cubic, 800, 1, 3).obstruction_count == 3**799
 
 
 def test_count_avoiding_tuples_examples():
@@ -243,6 +252,24 @@ def test_global_count_matches_tuple_oracle(family):
                         == oracle_global_count(_q(f, 4, c, n)))
 
 
+@pytest.mark.parametrize("text, k_values", [
+    ("1,0,1", (2, 3, 4, 7, 16, 31, 50)),        # x**2 + 1
+    ("1,1,1", (2, 3, 4, 7, 16, 31, 50)),        # x**2 + x + 1
+    ("3,2", (2, 3, 4, 7, 16, 31, 50)),          # 2x + 3
+    ("0,-1,0,1", (2, 3, 4, 7, 16, 31, 50)),     # x**3 - x
+    ("0,4,0,-5,0,1", (2, 3, 5, 8, 13, 20)),     # x**5 - 5x**3 + 4x
+])
+def test_global_count_matches_convolution_oracle(text, k_values):
+    # W comes from an indicator (r = 1), a binomial class sum (r = 2) or a
+    # composition walk (r >= 3), at high k and with many roots
+    f = IntPolynomial.parse(text)
+    for k in k_values:
+        for n in range(1, 41):
+            for c in range(n):
+                q = _q(f, k, c, n)
+                assert global_count(q).value == oracle_global_count_dp(q), (text, k, c, n)
+
+
 def test_query_validation():
     with pytest.raises(DomainError):
         CountQuery(X, 1, 0, 5)
@@ -371,6 +398,27 @@ def test_yang_zhao_matches_quadratic():
             for c in range(n):
                 assert (yang_zhao_count(k, c, n).value
                         == quadratic_count(_q(X_MINUS_X2, k, c, n)).value)
+
+
+def test_fast_paths_match_classical_counts_beyond_every_oracle():
+    # n = 5 * 7 * (10**12 + 39): f-exunits of a*x + b are units of the target
+    # a*c + k*b, and x = a2/a1 + (b2/b1 - a2/a1)*y carries the exceptional
+    # units onto those of (a1*x - a2)(b1*x - b2)
+    n = 5 * 7 * 1000000000039
+    for k in (2, 41, 5000):
+        for c in (0, 1, 12345, n - 3):
+            for text in ("0,1", "3,2", "-4,3"):
+                form = classify(IntPolynomial.parse(text), n)
+                assert isinstance(form, LinearCoprime)
+                assert (linear_count(_q(IntPolynomial.parse(text), k, c, n)).value
+                        == brauer_count(k, (form.a * c + k * form.b) % n, n).value)
+            for text in ("0,1,-1", "1,5,6", "6,-5,1"):
+                form = classify(IntPolynomial.parse(text), n)
+                assert isinstance(form, SplitQuadratic)
+                scale = mod_inverse(form.a1 * form.b2 - form.a2 * form.b1, n)
+                shifted = (form.a1 * form.b1 * c - k * form.a2 * form.b1) * scale % n
+                assert (quadratic_count(_q(IntPolynomial.parse(text), k, c, n)).value
+                        == yang_zhao_count(k, shifted, n).value)
 
 
 def test_degenerate_prime_contributions():

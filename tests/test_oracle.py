@@ -55,6 +55,14 @@ def test_oracle_budgets():
         oracle_global_count(CountQuery(X, 4, 0, 100), budget=10**4)
     with pytest.raises(BudgetExceededError):
         oracle_global_count_dp(CountQuery(X, 2, 0, 100), budget=50)
+    # the convolution budget is n**2 per step of the square-and-multiply
+    # (k = 3: one squaring, one multiply)
+    q = CountQuery(X, 3, 1, 10)
+    assert oracle_global_count_dp(q, budget=200) == oracle_global_count(q)
+    with pytest.raises(BudgetExceededError):
+        oracle_global_count_dp(q, budget=199)
+    with pytest.raises(BudgetExceededError):
+        oracle_global_count_dp(CountQuery(X, 3, 0, 100000))
     with pytest.raises(BudgetExceededError):
         oracle_local_count(X, 5, 0, 101, budget=10**6)
 
