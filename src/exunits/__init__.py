@@ -23,6 +23,7 @@ from .counting import (
     brauer_count,
     count,
     count_avoiding_tuples,
+    count_table,
     global_count,
     linear_count,
     local_count,
@@ -86,6 +87,7 @@ __all__ = [
     "classify",
     "count",
     "count_avoiding_tuples",
+    "count_table",
     "count_zero_product_tuples",
     "eval_mod",
     "exunit_set",

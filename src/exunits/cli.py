@@ -14,7 +14,7 @@ import json
 
 import click
 
-from .counting import MAX_K, CountQuery, CountReport
+from .counting import MAX_K, CountQuery, CountReport, count_table
 from .counting import count as compute_count
 from .errors import (
     BudgetExceededError,
@@ -148,16 +148,15 @@ def cmd_count(ctx: click.Context, poly: str, k: int, c: int, n: int, method: str
 def cmd_table(ctx: click.Context, poly: str, k: int, n: int) -> None:
     """Emit the count for every target c in [0, n) as CSV or JSON.
 
-    The column is checked against |E_f(n)|**k before anything is printed.
+    The column is built from one column of local factors per prime of n and
+    checked against |E_f(n)|**k before anything is printed.
     """
     fmt = _pick_format(ctx, ("csv", "json"), "csv")
     q = _parse_query(ctx, poly, k, 0, n)
     if n > TABLE_ROW_BUDGET:
         _fail(ctx, f"n = {n} exceeds the table budget {TABLE_ROW_BUDGET}", EXIT_INPUT)
     try:
-        values = [compute_count(CountQuery(q.f, k, c, n), "auto",
-                                scan_cap=ctx.obj["scan_cap"]).value
-                  for c in range(n)]
+        values = count_table(q.f, k, n, scan_cap=ctx.obj["scan_cap"])
         budget = ctx.obj["enum_budget"] or DEFAULT_ENUM_BUDGET
         expected = len(exunit_set(q.f, n, budget=budget)) ** k
     except (DomainError, BudgetExceededError, ScanCapExceededError) as exc:

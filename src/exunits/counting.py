@@ -66,6 +66,7 @@ __all__ = [
     "global_count",
     "linear_count",
     "quadratic_count",
+    "count_table",
     "brauer_count",
     "yang_zhao_count",
     "count",
@@ -328,6 +329,26 @@ def quadratic_count(q: CountQuery) -> CountReport:
         raise FastPathInapplicableError(
             "f does not split into integer linear factors that are unit-compatible with n")
     return _per_prime_count(q, "quadratic")
+
+
+def count_table(f: IntPolynomial, k: int, n: int,
+                scan_cap: int = DEFAULT_SCAN_CAP) -> list[int]:
+    """N(k, f, c, n) for every target c in [0, n), from per-prime columns.
+
+    N depends on c only through c mod p at each p | n, so every prime gets
+    one column of p regrouped factors, one per residue, and row c is the
+    product of column[c % p] over the primes: sum(p) local evaluations
+    instead of one full count per row.
+    """
+    CountQuery(f, k, 0, n)
+    values = [1] * n
+    for p, e in factorize(n):
+        roots = _roots_for_prime(f, p, scan_cap)
+        column = [_local_factor(p, e, k, _root_and_avoiding_sums(p, roots, k, a)[1]).contribution
+                  for a in range(p)]
+        for c in range(n):
+            values[c] *= column[c % p]
+    return values
 
 
 def _check_k_n(k: int, n: int) -> None:

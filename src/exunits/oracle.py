@@ -11,8 +11,6 @@ import itertools
 import math
 from functools import lru_cache
 
-import numpy as np
-
 from .arith import is_prime
 from .counting import CountQuery
 from .errors import BudgetExceededError, DomainError
@@ -137,6 +135,8 @@ def count_zero_product_tuples(f: IntPolynomial, r: int, c: int,
     table = [_value_at(f.coeffs, t) % modulus for t in range(ambient)]
     wrap = [_value_at(f.coeffs, t) % modulus for t in range(modulus)]
     if r == 2 and ambient <= 4096 and modulus < 2**31:
+        import numpy as np
+
         col = np.array(table, dtype=np.int64).reshape(-1, 1)
         row = np.array(col, dtype=np.int64).reshape(1, -1)
         idx = np.arange(ambient, dtype=np.int64)

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .arith import gcd, is_prime
 from .errors import (
     BudgetExceededError,
@@ -43,7 +41,8 @@ DEFAULT_SCAN_CAP = 10**7
 DEFAULT_ENUM_BUDGET = 10**6
 
 # int64 Horner stays exact while modulus**2 + modulus < 2**63; below
-# _NUMPY_MIN_SIZE a plain loop beats the array overhead.
+# _NUMPY_MIN_SIZE a plain loop beats the array overhead. numpy is imported
+# inside the vectorised branches only, so small queries never load it.
 _NUMPY_MODULUS_LIMIT = 2**31
 _NUMPY_MIN_SIZE = 64
 _BLOCK = 1 << 20
@@ -138,7 +137,9 @@ def eval_mod(f: IntPolynomial, x: int, m: int) -> int:
     return _horner_mod(f.coeffs, x, m)
 
 
-def _blocked_values_mod(coeffs: tuple[int, ...], start: int, stop: int, m: int) -> np.ndarray:
+def _blocked_values_mod(coeffs: tuple[int, ...], start: int, stop: int, m: int):
+    import numpy as np
+
     xs = np.arange(start, stop, dtype=np.int64) % m
     acc = np.zeros_like(xs)
     for coef in reversed(coeffs):
@@ -151,6 +152,8 @@ def _blocked_values_mod(coeffs: tuple[int, ...], start: int, stop: int, m: int) 
 @lru_cache(maxsize=4096)
 def _scan_roots(coeffs: tuple[int, ...], p: int) -> tuple[int, ...]:
     if _NUMPY_MIN_SIZE <= p < _NUMPY_MODULUS_LIMIT:
+        import numpy as np
+
         roots: list[int] = []
         for start in range(0, p, _BLOCK):
             vals = _blocked_values_mod(coeffs, start, min(start + _BLOCK, p), p)
@@ -180,6 +183,8 @@ def exunit_set(f: IntPolynomial, n: int, budget: int = DEFAULT_ENUM_BUDGET) -> t
     if n > budget:
         raise BudgetExceededError(f"n = {n} exceeds the enumeration budget {budget}")
     if _NUMPY_MIN_SIZE <= n < _NUMPY_MODULUS_LIMIT:
+        import numpy as np
+
         members: list[int] = []
         for start in range(0, n, _BLOCK):
             vals = _blocked_values_mod(f.coeffs, start, min(start + _BLOCK, n), n)

@@ -7,7 +7,10 @@ carry the first counterexample when something breaks.
 import math
 import time
 
-from exunits import arith, poly
+from click.testing import CliRunner
+
+from exunits import arith, counting, poly
+from exunits.cli import cli
 from exunits.counting import (
     CountQuery,
     global_count,
@@ -19,7 +22,7 @@ from exunits.oracle import (
     oracle_global_count,
     oracle_local_count,
 )
-from exunits.poly import IntPolynomial
+from exunits.poly import IntPolynomial, exunit_set
 from exunits.verify import (
     conservation_suite,
     fast_path_suite,
@@ -148,6 +151,26 @@ def test_criterion_7_performance():
     assert best < 0.010, f"quadratic_count took {best * 1000:.2f} ms"
     assert scan_elapsed < 2.0, f"global_count took {scan_elapsed:.2f} s"
     assert report.value > 0
+
+
+def test_table_column_performance():
+    # full c-sweeps through the CLI: one column of local factors per prime,
+    # not one count per row (which took tens of seconds at these sizes)
+    failures = []
+    for text, k, n in (("0,-1,0,1", 40, 30030), ("1,1,0,1", 3, 99991)):
+        arith._factorize_cached.cache_clear()
+        poly._scan_roots.cache_clear()
+        counting._closed_form_roots.cache_clear()
+        started = time.perf_counter()
+        result = CliRunner().invoke(cli, ["table", "--poly", text, "--k", str(k), "--n", str(n)])
+        elapsed = time.perf_counter() - started
+        rows = result.output.splitlines()[1:]
+        total = sum(int(row.split(",")[1]) for row in rows)
+        expected = len(exunit_set(IntPolynomial.parse(text), n)) ** k
+        if result.exit_code != 0 or len(rows) != n or total != expected or elapsed >= 5.0:
+            failures.append((text, k, n, result.exit_code, len(rows), elapsed))
+    _report("table column performance", not failures)
+    assert not failures, failures
 
 
 def test_criterion_8_lifting_and_product_rule_harness():

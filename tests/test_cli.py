@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 from click.testing import CliRunner
 
@@ -118,6 +121,35 @@ def test_table_json():
     assert rows == [{"c": 0, "value": "2"}, {"c": 1, "value": "3"},
                     {"c": 2, "value": "2"}, {"c": 3, "value": "1"},
                     {"c": 4, "value": "1"}]
+
+
+def test_table_over_budget_or_scan_cap_exits_2():
+    walk = run("table", "--poly", "0,-1,0,1", "--k", "800", "--n", "7")
+    assert walk.exit_code == 2
+    assert "budget" in walk.stderr
+    capped = run("--scan-cap", "50", "table", "--poly", "1,0,1", "--k", "2", "--n", "61")
+    assert capped.exit_code == 2
+
+
+def test_small_queries_never_import_numpy():
+    # numpy is loaded only by scans and enumerations at p or n >= 64
+    script = (
+        "import sys\n"
+        "from exunits.cli import cli\n"
+        "for argv in (['count', '--poly', '0,1,-1', '--k', '3', '--c', '1', '--n', '35'],\n"
+        "             ['table', '--poly', '0,1,-1', '--k', '3', '--n', '35']):\n"
+        "    try:\n"
+        "        cli.main(args=argv, prog_name='exunits')\n"
+        "    except SystemExit as exc:\n"
+        "        assert exc.code == 0, exc.code\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                            text=True, env=env, check=True)
+    assert result.stdout.splitlines()[-1] == "False"
 
 
 def test_exunits_listing():

@@ -8,6 +8,7 @@ from exunits.counting import (
     brauer_count,
     count,
     count_avoiding_tuples,
+    count_table,
     global_count,
     linear_count,
     local_count,
@@ -19,6 +20,7 @@ from exunits.arith import factorize, mod_inverse
 from exunits.errors import BudgetExceededError, DomainError, FastPathInapplicableError
 from exunits.oracle import oracle_global_count, oracle_global_count_dp, oracle_local_count
 from exunits.poly import IntPolynomial, LinearCoprime, SplitQuadratic, classify, exunit_set
+from exunits.verify import DEFAULT_POLYNOMIALS
 from conftest import SMALL_PRIMES
 
 X = IntPolynomial.parse("0,1")
@@ -261,13 +263,38 @@ def test_global_count_matches_tuple_oracle(family):
 ])
 def test_global_count_matches_convolution_oracle(text, k_values):
     # W comes from an indicator (r = 1), a binomial class sum (r = 2) or a
-    # composition walk (r >= 3), at high k and with many roots
+    # composition walk (r >= 3), at high k and with many roots; the
+    # per-prime column of count_table must give the same row for every c
     f = IntPolynomial.parse(text)
     for k in k_values:
         for n in range(1, 41):
+            column = count_table(f, k, n)
             for c in range(n):
                 q = _q(f, k, c, n)
-                assert global_count(q).value == oracle_global_count_dp(q), (text, k, c, n)
+                oracle = oracle_global_count_dp(q)
+                assert global_count(q).value == oracle == column[c], (text, k, c, n)
+
+
+@pytest.mark.parametrize("text", DEFAULT_POLYNOMIALS + (
+    "0,-1,0,1",        # x**3 - x: r = p at p = 2 and 3, r = 3 above
+    "0,4,0,-5,0,1",    # x**5 - 5x**3 + 4x: up to five roots
+    "0,0,2",           # 2x**2: r = p at p = 2
+))
+def test_count_table_matches_per_target_counts(text):
+    f = IntPolynomial.parse(text)
+    for k in (2, 3, 4, 7):
+        for n in range(1, 61):
+            assert count_table(f, k, n) == [count(_q(f, k, c, n)).value
+                                            for c in range(n)], (text, k, n)
+
+
+def test_count_table_edges():
+    assert count_table(X, 2, 1) == [1]
+    assert count_table(X_MINUS_X2, 5, 1) == [1]
+    with pytest.raises(DomainError):
+        count_table(X, 1, 5)
+    with pytest.raises(DomainError):
+        count_table(X, 2, 0)
 
 
 def test_query_validation():
