@@ -10,7 +10,6 @@ oracles, and ships the `exunits` command line tool on top.
 from .arith import (
     PrimeFactorization,
     factorize,
-    gcd,
     is_prime,
     mod_inverse,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "eval_mod",
     "exunit_set",
     "factorize",
-    "gcd",
     "global_count",
     "is_prime",
     "linear_count",

@@ -1,4 +1,4 @@
-"""Exact elementary number theory: gcd, primality, factorization and modular
+"""Exact elementary number theory: primality, factorization and modular
 inverses.
 
 Counting results elsewhere grow like n**(k-1), so everything here sticks to
@@ -15,7 +15,6 @@ from .errors import DomainError, InvariantViolationError, NotInvertibleError
 
 __all__ = [
     "PrimeFactorization",
-    "gcd",
     "is_prime",
     "factorize",
     "mod_inverse",
@@ -39,9 +38,6 @@ class PrimeFactorization:
     def __iter__(self):
         return iter(self.entries)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     @property
     def value(self) -> int:
         """The integer this factorization reconstructs."""
@@ -53,11 +49,6 @@ class PrimeFactorization:
     @property
     def distinct_primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.entries)
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor, sign-insensitive; gcd(0, 0) == 0."""
-    return math.gcd(a, b)
 
 
 def is_prime(n: int) -> bool:

@@ -25,9 +25,11 @@ assembly, regrouped to avoid rational arithmetic, is
 The general, linear and split-quadratic routes run this one per-prime
 engine and differ only in the precondition they check against n. Per prime
 the roots come in closed form (coprime-linear or split-quadratic f) or from
-a scan, and W is an indicator for r = 1, a binomial class sum for r = 2 and
-a composition walk for r >= 3. Brauer's unit-sum count and the
-exceptional-unit count (x and 1 - x both units) stay independent closed forms.
+a scan, and W is one walk over the roots whose base cases are the indicator
+(r = 1) and the binomial class sum (r = 2): above two roots it takes the
+first root j times, weighted by C(k, j), and walks the rest. Brauer's
+unit-sum count and the exceptional-unit count (x and 1 - x both units) stay
+independent closed forms.
 """
 
 from __future__ import annotations
@@ -76,9 +78,14 @@ __all__ = [
 # so k is kept to desk scale.
 MAX_K = 10**6
 
-# A composition walk over r >= 3 roots visits C(k + r - 1, r - 1) terms of
-# about a microsecond each; past this many it is refused before it starts.
+# A composition walk over r >= 3 roots visits about C(k + r - 1, r - 1)
+# terms, each a big-integer multiply-add; past this many it is refused
+# before it starts.
 MAX_COMPOSITION_TERMS = 10**5
+
+# count_table allocates one big integer per row; past this many rows it is
+# refused before anything is allocated.
+TABLE_ROW_BUDGET = 10**5
 
 
 @dataclass(frozen=True)
@@ -91,10 +98,7 @@ class CountQuery:
     n: int
 
     def __post_init__(self) -> None:
-        if not 2 <= self.k <= MAX_K:
-            raise DomainError(f"k must be in [2, {MAX_K}]")
-        if self.n < 1:
-            raise DomainError("n must be >= 1")
+        _check_k_n(self.k, self.n)
 
     @property
     def c_reduced(self) -> int:
@@ -157,70 +161,59 @@ def _binomial_class_sum(k: int, coef: int, target: int, p: int) -> int:
     return total
 
 
-def _few_root_sum(roots: tuple[int, ...], k: int, c: int, p: int) -> int:
-    # W for r <= 2 distinct reduced roots: with one root x every tuple sums
-    # to k*x; with roots {a, b} a tuple taking a j times sums to a*j + b*(k-j).
-    if not roots:
-        return 0
-    if len(roots) == 1:
-        return int((k * roots[0] - c) % p == 0)
-    a, b = roots
-    return _binomial_class_sum(k, (a - b) % p, (c - b * k) % p, p)
+def _root_sum(roots: tuple[int, ...], k: int, c: int, p: int) -> int:
+    # W for distinct reduced roots and any k >= 0. One root x: every tuple
+    # sums to k*x. Roots {a, b}: a tuple taking a j times sums to
+    # a*j + b*(k-j). More roots: the first, x, taken j times fills C(k, j)
+    # position sets and leaves (k-j)-tuples of the others summing to c - j*x.
+    r = len(roots)
+    if r <= 1:
+        return int(r == 1 and (k * roots[0] - c) % p == 0)
+    if r == 2:
+        a, b = roots
+        return _binomial_class_sum(k, (a - b) % p, (c - b * k) % p, p)
+    x, rest = roots[0], roots[1:]
+    total = 0
+    binom = 1
+    for j in range(k + 1):
+        total += binom * _root_sum(rest, k - j, c - j * x, p)
+        binom = binom * (k - j) // (j + 1)
+    return total
 
 
 def root_composition_count(roots: Sequence[int], k: int, c: int, p: int) -> int:
     """Ordered k-tuples (repetition allowed) of the given residues summing to
     c mod p.
 
-    Up to two roots this is a closed-form sum. For r >= 3 it enumerates
-    compositions j_1 + ... + j_r = k of the multiplicities and adds the
-    multinomial coefficient k!/(j_1!...j_r!) whenever the weighted sum of
-    roots lands on c: C(k + r - 1, r - 1) terms, refused with
-    BudgetExceededError above MAX_COMPOSITION_TERMS.
+    Up to two roots this is a closed-form sum. For r >= 3 it walks the
+    multiplicity j of the first root, weights the rest by C(k, j) and
+    recurses down to the two-root sum: about C(k + r - 1, r - 1) terms,
+    refused with BudgetExceededError above MAX_COMPOSITION_TERMS.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
     reduced = _validated_roots(roots, p)
-    if len(reduced) <= 2:
-        return _few_root_sum(reduced, k, c, p)
-    terms = math.comb(k + len(reduced) - 1, len(reduced) - 1)
-    if terms > MAX_COMPOSITION_TERMS:
-        raise BudgetExceededError(
-            f"{terms} root compositions exceed the budget {MAX_COMPOSITION_TERMS}")
-    target = c % p
-    last = len(reduced) - 1
-    total = 0
-
-    def descend(idx: int, remaining: int, acc: int, weight: int) -> None:
-        nonlocal total
-        if idx == last:
-            if (acc + remaining * reduced[idx]) % p == target:
-                total += weight
-            return
-        for j in range(remaining + 1):
-            descend(idx + 1, remaining - j, (acc + j * reduced[idx]) % p,
-                    weight * math.comb(remaining, j))
-
-    descend(0, k, 0, 1)
-    return total
-
-
-def _avoiding_from_root_sum(p: int, r: int, k: int, w: int) -> int:
-    numerator = (p - r) ** k + (-1) ** k * (p * w - r**k)
-    t, rem = divmod(numerator, p)
-    if rem:
-        raise InvariantViolationError("avoiding-tuple count is not an integer")
-    return t
+    r = len(reduced)
+    if r >= 3:
+        terms = math.comb(k + r - 1, r - 1)
+        if terms > MAX_COMPOSITION_TERMS:
+            raise BudgetExceededError(
+                f"{terms} root compositions exceed the budget {MAX_COMPOSITION_TERMS}")
+    return _root_sum(reduced, k, c, p)
 
 
 def _root_and_avoiding_sums(p: int, roots: tuple[int, ...], k: int, c: int) -> tuple[int, int]:
     # (W, T) for the distinct reduced roots of f at p. When f vanishes
-    # identically mod p every tuple hits a root, so T = 0 with no W walk.
+    # identically mod p every tuple hits a root, so T = 0 with no W walk; up
+    # to two roots W is a closed form that needs no validation or budget.
     r = len(roots)
     if r == p:
         return p ** (k - 1), 0
-    w = _few_root_sum(roots, k, c, p) if r <= 2 else root_composition_count(roots, k, c, p)
-    return w, _avoiding_from_root_sum(p, r, k, w)
+    w = _root_sum(roots, k, c, p) if r <= 2 else root_composition_count(roots, k, c, p)
+    t, rem = divmod((p - r) ** k + (-1) ** k * (p * w - r**k), p)
+    if rem:
+        raise InvariantViolationError("avoiding-tuple count is not an integer")
+    return w, t
 
 
 def count_avoiding_tuples(p: int, roots: Sequence[int], k: int, c: int) -> int:
@@ -338,9 +331,12 @@ def count_table(f: IntPolynomial, k: int, n: int,
     N depends on c only through c mod p at each p | n, so every prime gets
     one column of p regrouped factors, one per residue, and row c is the
     product of column[c % p] over the primes: sum(p) local evaluations
-    instead of one full count per row.
+    instead of one full count per row. More than TABLE_ROW_BUDGET rows are
+    refused with BudgetExceededError.
     """
     CountQuery(f, k, 0, n)
+    if n > TABLE_ROW_BUDGET:
+        raise BudgetExceededError(f"n = {n} exceeds the table budget {TABLE_ROW_BUDGET}")
     values = [1] * n
     for p, e in factorize(n):
         roots = _roots_for_prime(f, p, scan_cap)

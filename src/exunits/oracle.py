@@ -38,17 +38,22 @@ def _value_at(coeffs: tuple[int, ...], x: int) -> int:
     return acc
 
 
-def _members(coeffs: tuple[int, ...], n: int) -> list[int]:
-    return [a for a in range(n) if math.gcd(_value_at(coeffs, a), n) == 1]
-
-
 def oracle_global_count(q: CountQuery, budget: int = DEFAULT_TUPLE_BUDGET) -> int:
     """N by direct enumeration: walk E_f(n)**(k-1) and test membership of
-    the forced last coordinate c - sum."""
-    members = _members(q.f.coeffs, q.n)
-    if len(members) ** q.k > budget:
-        raise BudgetExceededError(
-            f"|E|**k = {len(members)}**{q.k} exceeds the enumeration budget {budget}")
+    the forced last coordinate c - sum.
+
+    n above the budget is refused before any residue is tested, and the
+    membership scan stops as soon as the members found put |E|**k over it.
+    """
+    if q.n > budget:
+        raise BudgetExceededError(f"n = {q.n} exceeds the enumeration budget {budget}")
+    members = []
+    for a in range(q.n):
+        if math.gcd(_value_at(q.f.coeffs, a), q.n) == 1:
+            members.append(a)
+            if len(members) ** q.k > budget:
+                raise BudgetExceededError(
+                    f"|E|**k >= {len(members)}**{q.k} exceeds the enumeration budget {budget}")
     member_set = set(members)
     target = q.c % q.n
     hits = 0

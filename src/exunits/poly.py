@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import gcd, is_prime
+from .arith import is_prime
 from .errors import (
     BudgetExceededError,
     DomainError,
@@ -88,10 +88,6 @@ class IntPolynomial:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def leading_coefficient(self) -> int:
-        return self.coeffs[-1]
 
 
 class PolynomialForm:
@@ -247,13 +243,14 @@ def classify(f: IntPolynomial, n: int) -> PolynomialForm:
         raise DomainError("n must be >= 1")
     if f.degree == 1:
         b, a = f.coeffs
-        if gcd(a, n) == 1:
+        if math.gcd(a, n) == 1:
             return LinearCoprime(a, b)
         return General()
     if f.degree == 2:
         split = _split_into_linear_factors(f.coeffs)
         if split is not None:
             a1, a2, b1, b2 = split
-            if gcd(a1, n) == 1 and gcd(b1, n) == 1 and gcd(a1 * b2 - a2 * b1, n) == 1:
+            if (math.gcd(a1, n) == 1 and math.gcd(b1, n) == 1
+                    and math.gcd(a1 * b2 - a2 * b1, n) == 1):
                 return SplitQuadratic(a1, a2, b1, b2)
     return General()

@@ -4,15 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exunits.arith import factorize, gcd, is_prime, mod_inverse
+from exunits.arith import factorize, is_prime, mod_inverse
 from exunits.errors import DomainError, NotInvertibleError
-
-
-def test_gcd_examples():
-    assert gcd(12, 18) == 6
-    assert gcd(0, 7) == 7
-    assert gcd(-4, 6) == 2
-    assert gcd(0, 0) == 0
 
 
 def test_factorize_examples():
@@ -76,14 +69,3 @@ def test_factorize_entries_are_prime_and_sorted(n):
     assert all(is_prime(p) and e >= 1 for p, e in fac)
     primes = fac.distinct_primes
     assert list(primes) == sorted(set(primes))
-
-
-@given(st.integers(-(10**9), 10**9), st.integers(-(10**9), 10**9))
-@settings(max_examples=50, deadline=None)
-def test_gcd_divides_both_arguments(a, b):
-    g = gcd(a, b)
-    if g:
-        assert a % g == 0
-        assert b % g == 0
-    else:
-        assert a == b == 0

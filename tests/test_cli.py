@@ -6,6 +6,8 @@ import sys
 from click.testing import CliRunner
 
 from exunits.cli import cli
+from exunits.counting import CountQuery, count
+from exunits.poly import IntPolynomial
 
 
 def run(*args):
@@ -92,6 +94,33 @@ def test_count_over_budget_exits_2_before_computing():
     walk = run("count", "--poly", "0,-1,0,1", "--k", "800", "--c", "1", "--n", "7")
     assert walk.exit_code == 2
     assert "budget" in walk.stderr
+
+
+def test_counts_over_4300_digits_print_in_full():
+    # CPython caps int-to-str conversion at 4300 digits by default; the CLI
+    # lifts the cap for its output only and restores it afterwards
+    limit = sys.get_int_max_str_digits()
+    value = count(CountQuery(IntPolynomial.parse("0,1"), 1000, 1, 1000000000039)).value
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(expected) > 4300
+    args = ("count", "--poly", "0,1", "--k", "1000", "--c", "1", "--n", "1000000000039")
+    plain = run(*args)
+    assert plain.exit_code == 0
+    assert plain.output == expected + "\n"
+    as_json = run("--format", "json", *args)
+    assert as_json.exit_code == 0
+    assert json.loads(as_json.output)["value"] == expected
+    table = run("table", "--poly", "0,1", "--k", "6000", "--n", "30")
+    assert table.exit_code == 0
+    assert len(table.output.splitlines()) == 31
+    assert sys.get_int_max_str_digits() == limit
+    # an oversized numeric argument is still rejected by the parser
+    oversized = run("count", "--poly", "0,1", "--k", "2", "--c", "1", "--n", "9" * 4301)
+    assert oversized.exit_code == 2
 
 
 def test_table_csv():

@@ -49,17 +49,29 @@ def test_root_composition_rejects_duplicates():
 def test_root_composition_matches_direct_enumeration():
     import itertools
 
-    for p in (3, 5, 7):
-        for roots in ((), (1,), (0, 2), (1, 2, 4)):
-            roots = tuple(r for r in roots if r < p)
-            if len(set(roots)) != len(roots):
-                continue
-            for k in (1, 2, 3, 4):
-                for c in range(p):
-                    direct = sum(
-                        1 for tup in itertools.product(roots, repeat=k)
-                        if sum(tup) % p == c)
-                    assert root_composition_count(roots, k, c, p) == direct
+    cases = [(p, tuple(r for r in roots if r < p))
+             for p in (3, 5, 7) for roots in ((), (1,), (0, 2), (1, 2, 4))]
+    cases += [(7, (0, 1, 3, 4)), (7, (0, 1, 3, 4, 6)), (11, (1, 2, 4, 8, 9))]
+    for p, roots in cases:
+        for k in (1, 2, 3, 4, 5):
+            for c in range(p):
+                direct = sum(
+                    1 for tup in itertools.product(roots, repeat=k)
+                    if sum(tup) % p == c)
+                assert root_composition_count(roots, k, c, p) == direct, (roots, k, c, p)
+
+
+def test_root_composition_matches_convolution_up_to_the_budget():
+    # the k-fold cyclic convolution of the root indicator over Z_p, at the
+    # largest k each root count allows: C(447, 2) = 99681 for r = 3 and
+    # C(34, 4) = 46376 for r = 5; C(448, 2) = 100128 is refused
+    for roots, k, p in (((0, 1, 6), 445, 7), ((1, 2, 4, 8, 9), 30, 11)):
+        dist = [1] + [0] * (p - 1)
+        for _ in range(k):
+            dist = [sum(dist[(a - x) % p] for x in roots) for a in range(p)]
+        assert [root_composition_count(roots, k, c, p) for c in range(p)] == dist
+    with pytest.raises(BudgetExceededError):
+        root_composition_count((0, 1, 6), 446, 1, 7)
 
 
 def test_two_root_composition_is_a_binomial_class_sum():
@@ -262,9 +274,10 @@ def test_global_count_matches_tuple_oracle(family):
     ("0,4,0,-5,0,1", (2, 3, 5, 8, 13, 20)),     # x**5 - 5x**3 + 4x
 ])
 def test_global_count_matches_convolution_oracle(text, k_values):
-    # W comes from an indicator (r = 1), a binomial class sum (r = 2) or a
-    # composition walk (r >= 3), at high k and with many roots; the
-    # per-prime column of count_table must give the same row for every c
+    # W is one walk over the roots whose base cases are the indicator
+    # (r = 1) and the binomial class sum (r = 2), here at high k and with
+    # many roots; the per-prime column of count_table must give the same
+    # row for every c
     f = IntPolynomial.parse(text)
     for k in k_values:
         for n in range(1, 41):
@@ -295,6 +308,9 @@ def test_count_table_edges():
         count_table(X, 1, 5)
     with pytest.raises(DomainError):
         count_table(X, 2, 0)
+    # refused before the rows are allocated
+    with pytest.raises(BudgetExceededError, match="n = 10000000000 exceeds the table budget"):
+        count_table(X, 2, 10**10)
 
 
 def test_query_validation():

@@ -24,7 +24,6 @@ X_MINUS_X2 = IntPolynomial.parse("0,1,-1")
 def test_construction_trims_trailing_zeros():
     assert IntPolynomial((0, 1, 0)).coeffs == (0, 1)
     assert IntPolynomial((1, 2, 3)).degree == 2
-    assert IntPolynomial((7, 0, 0, 4)).leading_coefficient == 4
 
 
 def test_parse_examples():
