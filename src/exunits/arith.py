@@ -3,19 +3,36 @@ inverses.
 
 Counting results elsewhere grow like n**(k-1), so everything here sticks to
 plain Python integers and is never allowed to round or approximate.
+
+is_prime answers for every integer. Below _MR_BOUND (~3.18e23) it runs strong
+Miller-Rabin tests to the twelve prime bases up to 37, which are proven
+deterministic there. At and above the bound it runs BPSW: a strong base-2
+test plus a strong Lucas test with Selfridge's parameters (Baillie &
+Wagstaff, Math. Comp. 35 (1980)). BPSW has no known counterexample but no
+proof either, so primes that large are probable primes; prime_test names
+which test a prime rests on.
+
+factorize trial-divides by the primes up to _TRIAL_LIMIT and splits what is
+left with Pollard-Brent rho. Rho takes about sqrt(p) steps to find a factor
+p, so it gets MAX_RHO_STEPS steps in all and past them raises
+BudgetExceededError, instead of running for minutes on a product of two
+large primes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, InvariantViolationError, NotInvertibleError
+from .errors import BudgetExceededError, DomainError, NotInvertibleError
 
 __all__ = [
+    "MAX_RHO_STEPS",
     "PrimeFactorization",
     "is_prime",
+    "prime_test",
     "factorize",
     "mod_inverse",
 ]
@@ -25,8 +42,26 @@ __all__ = [
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_BOUND = 318_665_857_834_031_151_167_461
 
-# Trial-divide up to here; any remaining cofactor goes to Pollard rho.
-_TRIAL_LIMIT = 10**6
+# Trial-divide by the primes up to here; any remaining composite cofactor
+# goes to Pollard rho, which finds factors this small in ~100 steps.
+_TRIAL_LIMIT = 10**3
+
+
+def _primes_up_to(limit: int) -> tuple[int, ...]:
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+    return tuple(p for p in range(limit + 1) if sieve[p])
+
+
+_TRIAL_PRIMES = _primes_up_to(_TRIAL_LIMIT)
+
+# Pollard rho steps (one squaring each) spent on one cofactor across all of
+# its restarts. Finding a prime factor p takes about 1.6 * sqrt(p) steps and
+# rarely over 8 * sqrt(p), so factors up to 10**11 split within it.
+MAX_RHO_STEPS = 3 * 10**6
 
 
 @dataclass(frozen=True)
@@ -46,71 +81,150 @@ class PrimeFactorization:
             out *= p**e
         return out
 
-    @property
-    def distinct_primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.entries)
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Strong probable-prime (Miller-Rabin) test of odd n > 2 to base a."""
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    # n odd and positive
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test of odd n > 1 that is not a perfect square, with
+    Selfridge's parameters: the first D in 5, -7, 9, -11, ... with Jacobi
+    symbol (D/n) = -1, P = 1 and Q = (1 - D)/4."""
+    for size in itertools.count(5, 2):
+        D = size if size % 4 == 1 else -size
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0 and size != n:
+            return False
+    Q = (1 - D) // 4
+    d = n + 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+
+    def half(x: int) -> int:
+        return (x + n if x & 1 else x) // 2 % n
+
+    # U_k, V_k and Q**k from k = 1 up a left-to-right ladder over d's bits
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(U + V), half(D * U + V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
+def _bpsw(n: int) -> bool:
+    """Baillie-PSW probable-prime test of odd n > 1."""
+    return (_strong_probable_prime(n, 2) and math.isqrt(n) ** 2 != n
+            and _strong_lucas_probable_prime(n))
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test, exact for every n below ~3.18e23."""
-    if n >= _MR_BOUND:
-        raise DomainError(f"{n} exceeds the deterministic primality bound")
+    """Primality of any integer n.
+
+    Exact below _MR_BOUND (~3.18e23), where the twelve Miller-Rabin bases up
+    to 37 are proven deterministic. At and above it this is the BPSW test,
+    so a True there marks a probable prime: no composite is known to pass,
+    but none is proven not to.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    d = n - 1
-    s = (d & -d).bit_length() - 1
-    d >>= s
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    if n < _MR_BOUND:
+        return all(_strong_probable_prime(n, a) for a in _MR_BASES)
+    return _bpsw(n)
+
+
+def prime_test(p: int) -> str:
+    """Which test is_prime trusts for p: "mr" (proven) below _MR_BOUND,
+    "bpsw" (probable) at and above it."""
+    return "mr" if p < _MR_BOUND else "bpsw"
 
 
 def _pollard_rho(n: int) -> int:
     """Nontrivial factor of an odd composite n (Brent's cycle method).
 
     The parameter schedule is fixed, so the returned factor is deterministic.
+    Raises BudgetExceededError once MAX_RHO_STEPS steps, counted across every
+    restart, have not split n.
     """
-    for c in range(1, 1000):
-        y, m, g, r, q = 2, 128, 1, 1, 1
+    m = 128
+    steps = 0
+
+    def spend(count: int) -> None:
+        nonlocal steps
+        steps += count
+        if steps > MAX_RHO_STEPS:
+            raise BudgetExceededError(
+                f"factoring {n} exceeds the Pollard rho budget of {MAX_RHO_STEPS} steps")
+
+    for c in itertools.count(1):
+        y, g, r, q = 2, 1, 1, 1
         x = ys = y
         while g == 1:
             x = y
+            spend(r)
             for _ in range(r):
                 y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
                 ys = y
-                for _ in range(min(m, r - k)):
+                batch = min(m, r - k)
+                spend(batch)
+                for _ in range(batch):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += m
             r <<= 1
         if g == n:
             g = 1
             while g == 1:
+                spend(1)
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
-    raise InvariantViolationError(f"Pollard rho failed to split {n}")
 
 
 def _factor_tail(n: int, counts: dict[int, int]) -> None:
-    # n has no prime factor <= _TRIAL_LIMIT at this point
-    if n == 1:
-        return
+    # n > 1 has no prime factor <= _TRIAL_LIMIT at this point
     if is_prime(n):
         counts[n] = counts.get(n, 0) + 1
         return
@@ -123,27 +237,32 @@ def _factor_tail(n: int, counts: dict[int, int]) -> None:
 def _factorize_cached(n: int) -> PrimeFactorization:
     counts: dict[int, int] = {}
     m = n
-    for p in (2, 3):
-        while m % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            m //= p
-    f = 5
-    while f * f <= m and f <= _TRIAL_LIMIT:
-        for p in (f, f + 2):
+    for p in _TRIAL_PRIMES:
+        if p * p > m:
+            break
+        if m % p == 0:
+            e = 0
             while m % p == 0:
-                counts[p] = counts.get(p, 0) + 1
                 m //= p
-        f += 6
+                e += 1
+            counts[p] = e
     if m > 1:
-        if f * f > m:
-            counts[m] = counts.get(m, 0) + 1
+        # a cofactor without prime factors up to sqrt(m) is prime
+        if m <= _TRIAL_LIMIT**2:
+            counts[m] = 1
         else:
             _factor_tail(m, counts)
     return PrimeFactorization(tuple(sorted(counts.items())))
 
 
 def factorize(n: int) -> PrimeFactorization:
-    """Canonical prime factorization of n >= 1; factorize(1) is empty."""
+    """Canonical prime factorization of n >= 1; factorize(1) is empty.
+
+    Every factor is prime by is_prime, so factors at or above _MR_BOUND are
+    BPSW probable primes. Raises BudgetExceededError when a cofactor with no
+    prime factor up to _TRIAL_LIMIT would take Pollard rho more than
+    MAX_RHO_STEPS steps to split.
+    """
     if n < 1:
         raise DomainError("factorize requires n >= 1")
     return _factorize_cached(n)

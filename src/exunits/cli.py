@@ -15,7 +15,8 @@ import sys
 
 import click
 
-from .counting import MAX_K, CountQuery, CountReport, count_table
+from .arith import prime_test
+from .counting import MAX_K, CountQuery, CountReport, LocalFactor, count_table
 from .counting import count as compute_count
 from .errors import (
     BudgetExceededError,
@@ -105,12 +106,16 @@ def _report_json(f: IntPolynomial, q: CountQuery, report: CountReport) -> str:
         "n": q.n,
         "method_used": report.method,
         "value": str(report.value),
-        "per_prime": [
-            {"p": lf.p, "e": lf.exponent, "local_M": str(lf.obstruction_count)}
-            for lf in report.per_prime
-        ],
+        "per_prime": [_prime_json(lf) for lf in report.per_prime],
     }
     return json.dumps(payload)
+
+
+def _prime_json(lf: LocalFactor) -> dict:
+    entry = {"p": lf.p, "e": lf.exponent, "local_M": str(lf.obstruction_count)}
+    if prime_test(lf.p) == "bpsw":
+        entry["prime_test"] = "bpsw"    # a probable prime, not a proven one
+    return entry
 
 
 @cli.command("count")

@@ -42,11 +42,16 @@ def oracle_global_count(q: CountQuery, budget: int = DEFAULT_TUPLE_BUDGET) -> in
     """N by direct enumeration: walk E_f(n)**(k-1) and test membership of
     the forced last coordinate c - sum.
 
-    n above the budget is refused before any residue is tested, and the
-    membership scan stops as soon as the members found put |E|**k over it.
+    The membership scan evaluates f at each of the n residues by Horner and
+    takes a Euclidean gcd with n, and is charged n * (deg f + log2 n) steps:
+    above the budget it is refused before any residue is tested. The scan
+    also stops as soon as the members found put |E|**k over the budget.
     """
-    if q.n > budget:
-        raise BudgetExceededError(f"n = {q.n} exceeds the enumeration budget {budget}")
+    scan_cost = q.n * (q.f.degree + q.n.bit_length())
+    if scan_cost > budget:
+        raise BudgetExceededError(
+            f"n = {q.n} exceeds the enumeration budget {budget}: its membership "
+            f"scan costs n * (deg f + log2 n) = {scan_cost} steps")
     members = []
     for a in range(q.n):
         if math.gcd(_value_at(q.f.coeffs, a), q.n) == 1:

@@ -153,6 +153,23 @@ def test_criterion_7_performance():
     assert report.value > 0
 
 
+def test_factorization_performance():
+    # a prime cofactor between 10**12 and 10**18 costs short trial division
+    # and one proven Miller-Rabin test, not trial division up to 10**6
+    p = 999999999999999989          # the largest prime below 10**18
+    assert arith.is_prime(p)
+    best = math.inf
+    for _ in range(3):
+        arith._factorize_cached.cache_clear()
+        started = time.perf_counter()
+        fac = arith.factorize(5 * 7 * p)
+        best = min(best, time.perf_counter() - started)
+    ok = fac.entries == ((5, 1), (7, 1), (p, 1)) and best < 0.020
+    _report("factorization performance", ok)
+    assert fac.entries == ((5, 1), (7, 1), (p, 1))
+    assert best < 0.020, f"factorize took {best * 1000:.2f} ms"
+
+
 def test_table_column_performance():
     # full c-sweeps through the CLI: one column of local factors per prime,
     # not one count per row (which took tens of seconds at these sizes)

@@ -1,11 +1,47 @@
 import math
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exunits.arith import factorize, is_prime, mod_inverse
-from exunits.errors import DomainError, NotInvertibleError
+from exunits import arith
+from exunits.arith import factorize, is_prime, mod_inverse, prime_test
+from exunits.errors import BudgetExceededError, DomainError, NotInvertibleError
+
+# The least strong pseudoprimes to the first 1, 2, ..., 13 prime bases (OEIS
+# A014233, with repeats dropped); every one is a strong pseudoprime to base 2.
+# The last two lie at and above _MR_BOUND, where only BPSW's Lucas half can
+# reject them.
+STRONG_PSEUDOPRIMES = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 3825123056546413051, 318665857834031151167461,
+    3317044064679887385961981,
+)
+# Carmichael numbers, the last (6k+1)(12k+1)(18k+1) with k = 6300850 above
+# _MR_BOUND.
+CARMICHAEL_NUMBERS = (
+    561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265, 321197185,
+    37805101 * 75610201 * 113415301,
+)
+# The strong Lucas pseudoprimes with Selfridge's parameters below 130140
+# (OEIS A217255).
+STRONG_LUCAS_PSEUDOPRIMES = (
+    5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519,
+    75077, 97439, 100127, 113573, 115639, 130139,
+)
+
+
+def _trial_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def _random_prime(rng, lo, hi):
+    while True:
+        candidate = rng.randrange(lo, hi)
+        if is_prime(candidate):
+            return candidate
 
 
 def test_factorize_examples():
@@ -37,11 +73,107 @@ def test_is_prime_examples():
 
 
 def test_is_prime_matches_trial_division():
-    def trial(n):
-        return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
-
     for n in range(2500):
-        assert is_prime(n) == trial(n), n
+        assert is_prime(n) == _trial_is_prime(n), n
+
+
+def test_bpsw_matches_trial_division_on_small_odd_numbers():
+    # below _MR_BOUND is_prime never runs BPSW, so test it directly here
+    for n in range(3, 50000, 2):
+        assert arith._bpsw(n) == _trial_is_prime(n), n
+
+
+def test_strong_lucas_test_passes_exactly_its_pseudoprimes():
+    liars = tuple(n for n in range(3, 130140, 2)
+                  if math.isqrt(n) ** 2 != n and not _trial_is_prime(n)
+                  and arith._strong_lucas_probable_prime(n))
+    assert liars == STRONG_LUCAS_PSEUDOPRIMES
+
+
+def test_is_prime_rejects_pseudoprimes_and_carmichael_numbers():
+    for n in STRONG_PSEUDOPRIMES:
+        assert arith._strong_probable_prime(n, 2), n
+        assert not is_prime(n), n
+    for n in CARMICHAEL_NUMBERS:
+        assert not is_prime(n), n
+    assert CARMICHAEL_NUMBERS[-1] > arith._MR_BOUND
+
+
+def test_is_prime_above_the_proven_bound():
+    for e in (89, 107, 127, 521):
+        assert is_prime(2**e - 1), e
+        assert prime_test(2**e - 1) == "bpsw"
+    for e in (101, 103, 109, 512):      # composite Mersenne numbers
+        assert not is_prime(2**e - 1), e
+    assert not is_prime((2**89 - 1) ** 2)
+    assert not is_prime((2**89 - 1) * (2**107 - 1))
+    assert prime_test(2**61 - 1) == "mr"
+    assert prime_test(arith._MR_BOUND - 1) == "mr"
+    assert prime_test(arith._MR_BOUND) == "bpsw"
+
+
+def test_is_prime_matches_sympy_across_the_bound():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20260601)
+    bound = arith._MR_BOUND
+    for lo, hi in ((2, 10**7), (10**12, 10**20), (bound // 1000, bound),
+                   (bound, bound * 1000), (2**79, 2**256)):
+        for _ in range(300):
+            n = rng.randrange(lo, hi) | 1
+            assert is_prime(n) == sympy.isprime(n), n
+        # and a prime in each range, which random odd numbers rarely hit
+        p = sympy.nextprime(rng.randrange(lo, hi))
+        assert is_prime(p), p
+
+
+def test_factorize_matches_sympy_around_the_trial_limit_and_the_bound():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20260602)
+    limit, bound = arith._TRIAL_LIMIT, arith._MR_BOUND
+    ranges = ((2, 50), (limit // 2, limit), (limit, 2 * limit),
+              (limit * limit // 2, 2 * limit * limit), (10**6, 10**9))
+    for i in range(80):
+        expected = {}
+        for lo, hi in rng.sample(ranges, rng.randint(1, 4)):
+            expected[sympy.nextprime(rng.randrange(lo, hi))] = rng.randint(1, 2)
+        # at most one prime beyond rho's reach: below the bound or above it
+        big = rng.choice((1, 10**12, 10**18, bound // 10, bound, 2**100))
+        if big > 1:
+            expected[sympy.nextprime(rng.randrange(big, 2 * big))] = 1
+        n = math.prod(p**e for p, e in expected.items())
+        arith._factorize_cached.cache_clear()
+        assert dict(factorize(n).entries) == expected, n
+        if i % 5 == 0:      # factorint is slow on these; a fifth suffices
+            assert sympy.factorint(n) == expected, n
+
+
+def test_factorize_splits_seeded_semiprimes_below_the_bound():
+    # the rho budget refuses nothing with both factors up to 10**11
+    rng = random.Random(20260603)
+    for lo, hi, count in ((10**5, 10**7, 4), (10**8, 10**10, 4), (10**10, 10**11, 4)):
+        for _ in range(count):
+            p = _random_prime(rng, lo, hi)
+            q = _random_prime(rng, lo, hi)
+            arith._factorize_cached.cache_clear()
+            assert factorize(p * q).value == p * q
+            assert {f for f, _ in factorize(p * q)} == {p, q}
+
+
+def test_factorize_refuses_a_balanced_semiprime_within_its_rho_budget():
+    n = (10**15 + 37) * (10**15 + 91)
+    arith._factorize_cached.cache_clear()
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match="Pollard rho budget"):
+        factorize(n)
+    assert time.perf_counter() - started < 5.0
+
+
+def test_factorize_above_the_bound():
+    m89, m127 = 2**89 - 1, 2**127 - 1
+    assert factorize(35 * m89).entries == ((5, 1), (7, 1), (m89, 1))
+    assert factorize(1009**2 * 999983 * m127).entries == (
+        (1009, 2), (999983, 1), (m127, 1))
+    assert factorize(2**67 - 1).entries == ((193707721, 1), (761838257287, 1))
 
 
 def test_mod_inverse_examples():
@@ -67,5 +199,5 @@ def test_factorize_entries_are_prime_and_sorted(n):
     fac = factorize(n)
     assert fac.value == n
     assert all(is_prime(p) and e >= 1 for p, e in fac)
-    primes = fac.distinct_primes
-    assert list(primes) == sorted(set(primes))
+    primes = [p for p, _ in fac]
+    assert primes == sorted(set(primes))

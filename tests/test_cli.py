@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 from click.testing import CliRunner
 
@@ -94,6 +95,37 @@ def test_count_over_budget_exits_2_before_computing():
     walk = run("count", "--poly", "0,-1,0,1", "--k", "800", "--c", "1", "--n", "7")
     assert walk.exit_code == 2
     assert "budget" in walk.stderr
+    # x - x**2 has no exunit mod 10**7, so only the scan's charge refuses it
+    started = time.perf_counter()
+    scan = run("count", "--poly", "0,1,-1", "--k", "2", "--c", "0", "--n", "10000000",
+               "--method", "oracle")
+    assert time.perf_counter() - started < 0.1
+    assert scan.exit_code == 2
+    assert "membership scan" in scan.stderr
+
+
+def test_count_unsplittable_modulus_exits_2():
+    # two 16-digit primes: BPSW finds the product composite and Pollard rho
+    # spends its step budget without splitting it
+    n = (10**15 + 37) * (10**15 + 91)
+    started = time.perf_counter()
+    result = run("count", "--poly", "0,1,-1", "--k", "3", "--c", "1", "--n", str(n))
+    assert time.perf_counter() - started < 5.0
+    assert result.exit_code == 2
+    assert "Pollard rho budget" in result.stderr
+
+
+def test_count_json_labels_bpsw_primes():
+    # primes at and above the proven Miller-Rabin bound are BPSW probable primes
+    m89 = 2**89 - 1
+    result = run("--format", "json", "count",
+                 "--poly", "0,1,-1", "--k", "3", "--c", "1", "--n", str(35 * m89))
+    assert result.exit_code == 0
+    per_prime = json.loads(result.output)["per_prime"]
+    assert [entry["p"] for entry in per_prime] == [5, 7, m89]
+    assert [entry.get("prime_test") for entry in per_prime] == [None, None, "bpsw"]
+    assert per_prime[:2] == [{"p": 5, "e": 1, "local_M": "21"},
+                             {"p": 7, "e": 1, "local_M": "33"}]
 
 
 def test_counts_over_4300_digits_print_in_full():

@@ -65,12 +65,19 @@ def test_oracle_budgets():
         oracle_global_count_dp(CountQuery(X, 3, 0, 100000))
     with pytest.raises(BudgetExceededError):
         oracle_local_count(X, 5, 0, 101, budget=10**6)
-    # refused before the n residues are scanned, or as soon as the members
+    # refused before the n residues are scanned when the scan alone costs
+    # n * (deg f + log2 n) steps over the budget, or as soon as the members
     # found so far are too many
     with pytest.raises(BudgetExceededError, match="n = 10000000000 exceeds"):
         oracle_global_count(CountQuery(X, 2, 0, 10**10))
+    with pytest.raises(BudgetExceededError, match="n = 10000000 exceeds"):
+        oracle_global_count(CountQuery(X_MINUS_X2, 2, 0, 10**7))
     with pytest.raises(BudgetExceededError, match=r"\|E\|\*\*k >= 10001\*\*2"):
-        oracle_global_count(CountQuery(X, 2, 0, 10**7))
+        oracle_global_count(CountQuery(X, 2, 0, 10**5))
+    # the scan charge at the edge: 3 * (1 + 2) = 9 steps
+    assert oracle_global_count(CountQuery(X, 2, 0, 3), budget=9) == 2
+    with pytest.raises(BudgetExceededError):
+        oracle_global_count(CountQuery(X, 2, 0, 3), budget=8)
 
 
 def test_oracle_local_examples():
