@@ -37,7 +37,6 @@ from .errors import (
     FastPathInapplicableError,
     InvariantViolationError,
     NotInvertibleError,
-    ScanCapExceededError,
 )
 from .oracle import (
     count_zero_product_tuples,
@@ -47,14 +46,12 @@ from .oracle import (
 )
 from .poly import (
     DEFAULT_ENUM_BUDGET,
-    DEFAULT_SCAN_CAP,
     General,
     IntPolynomial,
     LinearCoprime,
     PolynomialForm,
     SplitQuadratic,
     classify,
-    eval_mod,
     exunit_set,
     root_set_mod_p,
 )
@@ -66,7 +63,6 @@ __all__ = [
     "CountQuery",
     "CountReport",
     "DEFAULT_ENUM_BUDGET",
-    "DEFAULT_SCAN_CAP",
     "DomainError",
     "ExunitsError",
     "FastPathInapplicableError",
@@ -80,7 +76,6 @@ __all__ = [
     "PolynomialForm",
     "PrimeFactorization",
     "RootProfile",
-    "ScanCapExceededError",
     "SplitQuadratic",
     "brauer_count",
     "classify",
@@ -88,7 +83,6 @@ __all__ = [
     "count_avoiding_tuples",
     "count_table",
     "count_zero_product_tuples",
-    "eval_mod",
     "exunit_set",
     "factorize",
     "global_count",

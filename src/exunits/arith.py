@@ -12,11 +12,11 @@ Wagstaff, Math. Comp. 35 (1980)). BPSW has no known counterexample but no
 proof either, so primes that large are probable primes; prime_test names
 which test a prime rests on.
 
-factorize trial-divides by the primes up to _TRIAL_LIMIT and splits what is
-left with Pollard-Brent rho. Rho takes about sqrt(p) steps to find a factor
-p, so it gets MAX_RHO_STEPS steps in all and past them raises
-BudgetExceededError, instead of running for minutes on a product of two
-large primes.
+factorize trial-divides by the primes up to _TRIAL_LIMIT, takes exact roots
+of a composite cofactor that is a perfect power, and splits what is left
+with Pollard-Brent rho. Rho takes about sqrt(p) steps to find a factor p, so
+it gets MAX_RHO_STEPS steps in all and past them raises BudgetExceededError,
+instead of running for minutes on a product of two large primes.
 """
 
 from __future__ import annotations
@@ -223,14 +223,42 @@ def _pollard_rho(n: int) -> int:
             return g
 
 
-def _factor_tail(n: int, counts: dict[int, int]) -> None:
-    # n > 1 has no prime factor <= _TRIAL_LIMIT at this point
+def _integer_root(n: int, e: int) -> int:
+    """floor(n ** (1/e)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // e)
+    while True:
+        y = ((e - 1) * x + n // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
+
+
+def _perfect_power(n: int) -> tuple[int, int]:
+    # (root, e) with root**e == n for the least e >= 2, else (n, 1). n has no
+    # prime factor <= _TRIAL_LIMIT, so a root exceeds it and e stays below
+    # log(n) / log(_TRIAL_LIMIT).
+    e = 2
+    while _TRIAL_LIMIT**e < n:
+        root = _integer_root(n, e)
+        if root**e == n:
+            return root, e
+        e += 1
+    return n, 1
+
+
+def _factor_tail(n: int, counts: dict[int, int], multiplicity: int = 1) -> None:
+    # n > 1 has no prime factor <= _TRIAL_LIMIT at this point; it stands for
+    # n ** multiplicity in the number being factored
     if is_prime(n):
-        counts[n] = counts.get(n, 0) + 1
+        counts[n] = counts.get(n, 0) + multiplicity
+        return
+    root, e = _perfect_power(n)
+    if e > 1:
+        _factor_tail(root, counts, multiplicity * e)
         return
     d = _pollard_rho(n)
-    _factor_tail(d, counts)
-    _factor_tail(n // d, counts)
+    _factor_tail(d, counts, multiplicity)
+    _factor_tail(n // d, counts, multiplicity)
 
 
 @lru_cache(maxsize=65536)

@@ -3,7 +3,9 @@
 Subcommands: count (one query), table (a full c-sweep), exunits (list
 E_f(n)) and verify (the formula-vs-oracle harness). Exit codes are a stable
 contract: 0 success, 1 verification mismatch, 2 input error, 3 requested
-method inapplicable.
+method inapplicable. Every work budget (root-scan cap, enumeration, oracle,
+composition, table and rho budgets) is a module constant, not an option;
+input past one exits 2.
 """
 
 from __future__ import annotations
@@ -18,19 +20,9 @@ import click
 from .arith import prime_test
 from .counting import MAX_K, CountQuery, CountReport, LocalFactor, count_table
 from .counting import count as compute_count
-from .errors import (
-    BudgetExceededError,
-    DomainError,
-    FastPathInapplicableError,
-    ScanCapExceededError,
-)
-from .oracle import (
-    DEFAULT_DP_BUDGET,
-    DEFAULT_TUPLE_BUDGET,
-    oracle_global_count,
-    oracle_global_count_dp,
-)
-from .poly import DEFAULT_ENUM_BUDGET, DEFAULT_SCAN_CAP, IntPolynomial, exunit_set
+from .errors import BudgetExceededError, DomainError, FastPathInapplicableError
+from .oracle import oracle_global_count, oracle_global_count_dp
+from .poly import IntPolynomial, exunit_set
 from .verify import DEFAULT_POLYNOMIALS, run_all
 
 EXIT_MISMATCH = 1
@@ -43,28 +35,17 @@ EXIT_INAPPLICABLE = 3
               default=None, help="Output format; defaults to plain (csv for table).")
 @click.option("--seed", type=int, default=0, show_default=True,
               help="Seed for any suite that samples instead of exhausting.")
-@click.option("--workers", type=int, default=1, show_default=True,
-              help="Worker processes for verify's oracle-equivalence suite.")
-@click.option("--scan-cap", type=int, default=DEFAULT_SCAN_CAP, show_default=True,
-              help="Largest prime allowed in a root scan.")
-@click.option("--enum-budget", type=int, default=None,
-              help="Override the enumeration budgets (exunit listing and oracles).")
+@click.option("--workers", type=int, default=1,
+              help="Accepted for compatibility; has no effect.")
 @click.pass_context
-def cli(ctx: click.Context, fmt: str | None, seed: int, workers: int,
-        scan_cap: int, enum_budget: int | None) -> None:
+def cli(ctx: click.Context, fmt: str | None, seed: int, workers: int) -> None:
     """Count representations of c as a sum of k f-exunits modulo n.
 
     A residue a is an f-exunit mod n when gcd(f(a), n) = 1; polynomials are
     given as comma-separated coefficients in ascending degree, so "0,1,-1"
     is x - x**2.
     """
-    ctx.obj = {
-        "format": fmt,
-        "seed": seed,
-        "workers": workers,
-        "scan_cap": scan_cap,
-        "enum_budget": enum_budget,
-    }
+    ctx.obj = {"format": fmt, "seed": seed}
 
 
 def _fail(ctx: click.Context, message: str, code: int) -> None:
@@ -133,20 +114,17 @@ def cmd_count(ctx: click.Context, poly: str, k: int, c: int, n: int, method: str
     _lift_digit_limit(ctx)
     fmt = _pick_format(ctx, ("plain", "json"), "plain")
     q = _parse_query(ctx, poly, k, c, n)
-    budget = ctx.obj["enum_budget"]
     try:
         if method == "oracle":
-            value = oracle_global_count(q, budget=budget or DEFAULT_TUPLE_BUDGET)
-            report = CountReport(value, "oracle", ())
+            report = CountReport(oracle_global_count(q), "oracle", ())
         elif method == "oracle-dp":
-            value = oracle_global_count_dp(q, budget=budget or DEFAULT_DP_BUDGET)
-            report = CountReport(value, "oracle_dp", ())
+            report = CountReport(oracle_global_count_dp(q), "oracle_dp", ())
         else:
-            report = compute_count(q, method, scan_cap=ctx.obj["scan_cap"])
+            report = compute_count(q, method)
     except FastPathInapplicableError as exc:
         _fail(ctx, str(exc), EXIT_INAPPLICABLE)
         return
-    except (DomainError, BudgetExceededError, ScanCapExceededError) as exc:
+    except (DomainError, BudgetExceededError) as exc:
         _fail(ctx, str(exc), EXIT_INPUT)
         return
     if fmt == "json":
@@ -170,10 +148,9 @@ def cmd_table(ctx: click.Context, poly: str, k: int, n: int) -> None:
     fmt = _pick_format(ctx, ("csv", "json"), "csv")
     q = _parse_query(ctx, poly, k, 0, n)
     try:
-        values = count_table(q.f, k, n, scan_cap=ctx.obj["scan_cap"])
-        budget = ctx.obj["enum_budget"] or DEFAULT_ENUM_BUDGET
-        expected = len(exunit_set(q.f, n, budget=budget)) ** k
-    except (DomainError, BudgetExceededError, ScanCapExceededError) as exc:
+        values = count_table(q.f, k, n)
+        expected = len(exunit_set(q.f, n)) ** k
+    except (DomainError, BudgetExceededError) as exc:
         _fail(ctx, str(exc), EXIT_INPUT)
         return
     if sum(values) != expected:
@@ -198,8 +175,7 @@ def cmd_exunits(ctx: click.Context, poly: str, n: int) -> None:
     fmt = _pick_format(ctx, ("plain", "json"), "plain")
     try:
         f = IntPolynomial.parse(poly)
-        budget = ctx.obj["enum_budget"] or DEFAULT_ENUM_BUDGET
-        members = exunit_set(f, n, budget=budget)
+        members = exunit_set(f, n)
     except (DomainError, BudgetExceededError) as exc:
         _fail(ctx, str(exc), EXIT_INPUT)
         return
@@ -244,7 +220,7 @@ def cmd_verify(ctx: click.Context, n_max: int, k_text: str,
         return
     try:
         results = run_all(family, k_values, n_max, seed=ctx.obj["seed"],
-                          workers=ctx.obj["workers"], inject_fault=inject_fault)
+                          inject_fault=inject_fault)
     except BudgetExceededError as exc:
         _fail(ctx, str(exc), EXIT_INPUT)
         return

@@ -47,7 +47,6 @@ from .errors import (
     InvariantViolationError,
 )
 from .poly import (
-    DEFAULT_SCAN_CAP,
     IntPolynomial,
     LinearCoprime,
     SplitQuadratic,
@@ -243,13 +242,12 @@ def _closed_form_roots(coeffs: tuple[int, ...], p: int) -> tuple[int, ...] | Non
     return None
 
 
-def _roots_for_prime(f: IntPolynomial, p: int, scan_cap: int) -> tuple[int, ...]:
+def _roots_for_prime(f: IntPolynomial, p: int) -> tuple[int, ...]:
     roots = _closed_form_roots(f.coeffs, p)
-    return root_set_mod_p(f, p, scan_cap=scan_cap) if roots is None else roots
+    return root_set_mod_p(f, p) if roots is None else roots
 
 
-def local_count(f: IntPolynomial, k: int, c: int, p: int,
-                scan_cap: int = DEFAULT_SCAN_CAP) -> RootProfile:
+def local_count(f: IntPolynomial, k: int, c: int, p: int) -> RootProfile:
     """The local data of f at the prime p for arity k and target c.
 
     The obstruction count M is p**(k-1) - T; it is 0 when f has no root mod p
@@ -259,7 +257,7 @@ def local_count(f: IntPolynomial, k: int, c: int, p: int,
         raise DomainError("k must be >= 2")
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    roots = _roots_for_prime(f, p, scan_cap)
+    roots = _roots_for_prime(f, p)
     w, t = _root_and_avoiding_sums(p, roots, k, c % p)
     return RootProfile(p, roots, len(roots), w, t, p ** (k - 1) - t)
 
@@ -280,21 +278,20 @@ def _assemble(method: str, factors: list[LocalFactor]) -> CountReport:
     return CountReport(value, method, tuple(factors))
 
 
-def _per_prime_count(q: CountQuery, method: str,
-                     scan_cap: int = DEFAULT_SCAN_CAP) -> CountReport:
+def _per_prime_count(q: CountQuery, method: str) -> CountReport:
     # The one engine behind every formula route: per prime, roots, then
     # (W, T), then the regrouped factor; method only labels the report.
     k, c = q.k, q.c_reduced
     factors = []
     for p, e in factorize(q.n):
-        _, t = _root_and_avoiding_sums(p, _roots_for_prime(q.f, p, scan_cap), k, c % p)
+        _, t = _root_and_avoiding_sums(p, _roots_for_prime(q.f, p), k, c % p)
         factors.append(_local_factor(p, e, k, t))
     return _assemble(method, factors)
 
 
-def global_count(q: CountQuery, scan_cap: int = DEFAULT_SCAN_CAP) -> CountReport:
+def global_count(q: CountQuery) -> CountReport:
     """Exact N for any polynomial, via per-prime obstruction counts."""
-    return _per_prime_count(q, "general", scan_cap)
+    return _per_prime_count(q, "general")
 
 
 def linear_count(q: CountQuery) -> CountReport:
@@ -324,8 +321,7 @@ def quadratic_count(q: CountQuery) -> CountReport:
     return _per_prime_count(q, "quadratic")
 
 
-def count_table(f: IntPolynomial, k: int, n: int,
-                scan_cap: int = DEFAULT_SCAN_CAP) -> list[int]:
+def count_table(f: IntPolynomial, k: int, n: int) -> list[int]:
     """N(k, f, c, n) for every target c in [0, n), from per-prime columns.
 
     N depends on c only through c mod p at each p | n, so every prime gets
@@ -339,7 +335,7 @@ def count_table(f: IntPolynomial, k: int, n: int,
         raise BudgetExceededError(f"n = {n} exceeds the table budget {TABLE_ROW_BUDGET}")
     values = [1] * n
     for p, e in factorize(n):
-        roots = _roots_for_prime(f, p, scan_cap)
+        roots = _roots_for_prime(f, p)
         column = [_local_factor(p, e, k, _root_and_avoiding_sums(p, roots, k, a)[1]).contribution
                   for a in range(p)]
         for c in range(n):
@@ -399,8 +395,7 @@ def yang_zhao_count(k: int, c: int, n: int) -> CountReport:
     return _assemble("yang_zhao", factors)
 
 
-def count(q: CountQuery, method: str = "auto",
-          scan_cap: int = DEFAULT_SCAN_CAP) -> CountReport:
+def count(q: CountQuery, method: str = "auto") -> CountReport:
     """Count q by the named route; all routes agree in value whenever their
     preconditions hold.
 
@@ -412,9 +407,9 @@ def count(q: CountQuery, method: str = "auto",
         form = classify(q.f, q.n)
         label = ("linear" if isinstance(form, LinearCoprime)
                  else "quadratic" if isinstance(form, SplitQuadratic) else "general")
-        return _per_prime_count(q, label, scan_cap)
+        return _per_prime_count(q, label)
     if method == "general":
-        return global_count(q, scan_cap=scan_cap)
+        return global_count(q)
     if method == "linear":
         return linear_count(q)
     if method == "quadratic":

@@ -13,12 +13,8 @@ class NotInvertibleError(DomainError):
     """A modular inverse was requested for a non-unit."""
 
 
-class ScanCapExceededError(ExunitsError):
-    """A root scan was requested for a prime above the configured cap."""
-
-
 class BudgetExceededError(ExunitsError):
-    """An enumeration would exceed its iteration budget."""
+    """A computation would exceed one of the fixed work budgets."""
 
 
 class FastPathInapplicableError(ExunitsError):

@@ -1,6 +1,6 @@
 """Integer polynomials and their residue behaviour.
 
-Covers evaluation mod m, distinct root sets mod p, enumeration of the
+Covers distinct root sets mod p, enumeration of the
 f-exunit set E_f(n) = {a in Z_n : gcd(f(a), n) = 1}, and classification of a
 polynomial into the families that admit closed-form counting (linear with
 unit leading coefficient, and quadratics that split into integer linear
@@ -16,12 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arith import is_prime
-from .errors import (
-    BudgetExceededError,
-    DomainError,
-    InvariantViolationError,
-    ScanCapExceededError,
-)
+from .errors import BudgetExceededError, DomainError, InvariantViolationError
 
 __all__ = [
     "IntPolynomial",
@@ -29,15 +24,15 @@ __all__ = [
     "LinearCoprime",
     "SplitQuadratic",
     "General",
-    "eval_mod",
     "root_set_mod_p",
     "exunit_set",
     "classify",
-    "DEFAULT_SCAN_CAP",
+    "ROOT_SCAN_CAP",
     "DEFAULT_ENUM_BUDGET",
 ]
 
-DEFAULT_SCAN_CAP = 10**7
+# Largest prime root_set_mod_p will scan; every p above it is refused.
+ROOT_SCAN_CAP = 10**7
 DEFAULT_ENUM_BUDGET = 10**6
 
 # int64 Horner stays exact while modulus**2 + modulus < 2**63; below
@@ -126,13 +121,6 @@ def _horner_mod(coeffs: tuple[int, ...], x: int, m: int) -> int:
     return acc
 
 
-def eval_mod(f: IntPolynomial, x: int, m: int) -> int:
-    """f(x) mod m by Horner's rule, every intermediate reduced; in [0, m)."""
-    if m < 1:
-        raise DomainError("modulus must be >= 1")
-    return _horner_mod(f.coeffs, x, m)
-
-
 def _blocked_values_mod(coeffs: tuple[int, ...], start: int, stop: int, m: int):
     import numpy as np
 
@@ -158,17 +146,18 @@ def _scan_roots(coeffs: tuple[int, ...], p: int) -> tuple[int, ...]:
     return tuple(x for x in range(p) if _horner_mod(coeffs, x, p) == 0)
 
 
-def root_set_mod_p(f: IntPolynomial, p: int, scan_cap: int = DEFAULT_SCAN_CAP) -> tuple[int, ...]:
+def root_set_mod_p(f: IntPolynomial, p: int) -> tuple[int, ...]:
     """All x in [0, p) with f(x) == 0 (mod p), each once, ascending.
 
     Multiplicity is deliberately discarded: only gcd(f(x), p) > 1 matters.
-    Exhaustive scan, so p must stay under the cap; the closed-form counting
+    This is an exhaustive scan, so a prime above ROOT_SCAN_CAP is refused
+    with BudgetExceededError before any work; the closed-form counting
     paths avoid this call entirely for large primes.
     """
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    if p > scan_cap:
-        raise ScanCapExceededError(f"prime {p} exceeds the root-scan cap {scan_cap}")
+    if p > ROOT_SCAN_CAP:
+        raise BudgetExceededError(f"prime {p} exceeds the root-scan cap {ROOT_SCAN_CAP}")
     return _scan_roots(f.coeffs, p)
 
 

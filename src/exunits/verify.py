@@ -2,15 +2,13 @@
 
 Four suites: oracle equivalence, multiplicativity, conservation and
 fast-path agreement. Each returns a SuiteResult whose counterexample (if
-any) is the first failure in canonical grid order, so output is identical
-regardless of how many workers ran the sweep.
+any) is the first failure in canonical grid order.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -74,43 +72,35 @@ def _mismatch(poly: str, k: int, c: int, n: int, lhs: int, rhs: int, compared: s
             "lhs": lhs, "rhs": rhs, "compared": compared}
 
 
-def _oracle_equivalence_task(args: tuple[str, int, int, bool]) -> tuple[int, dict | None]:
-    poly_text, k, n, fault = args
-    f = IntPolynomial.parse(poly_text)
-    cases = 0
-    for c in range(n):
-        formula = global_count(CountQuery(f, k, c, n)).value
-        if fault and c == 0:
-            formula += 1
-        oracle = oracle_global_count_dp(CountQuery(f, k, c, n))
-        cases += 1
-        if formula != oracle:
-            return cases, _mismatch(poly_text, k, c, n, formula, oracle,
-                                    "global_count vs oracle_global_count_dp")
-    return cases, None
-
-
 def oracle_equivalence_suite(polys: Sequence[str], k_values: Sequence[int], n_max: int,
-                             workers: int = 1, inject_fault: bool = False) -> SuiteResult:
+                             inject_fault: bool = False) -> SuiteResult:
     """global_count must equal the convolution oracle on the whole grid.
 
-    inject_fault perturbs exactly one formula value (the first grid point);
-    it exists so the harness can prove it would notice a wrong count.
+    Every (f, k, n) cell is swept up to its first mismatch, and the first
+    mismatch in grid order is the counterexample. inject_fault perturbs
+    exactly one formula value (the first grid point); it exists so the
+    harness can prove it would notice a wrong count.
     """
-    tasks = [(poly, k, n, inject_fault and i == 0)
-             for i, (poly, k, n) in enumerate(
-                 (poly, k, n)
-                 for poly in polys for k in k_values for n in range(1, n_max + 1))]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_oracle_equivalence_task, tasks,
-                                     chunksize=max(1, len(tasks) // (workers * 8) or 1)))
-    else:
-        outcomes = [_oracle_equivalence_task(t) for t in tasks]
-    cases = sum(done for done, _ in outcomes)
-    for _, counterexample in outcomes:
-        if counterexample is not None:
-            return SuiteResult.fail("oracle-equivalence", cases, counterexample)
+    cases = 0
+    counterexample = None
+    for poly in polys:
+        f = IntPolynomial.parse(poly)
+        for k in k_values:
+            for n in range(1, n_max + 1):
+                for c in range(n):
+                    q = CountQuery(f, k, c, n)
+                    formula = global_count(q).value
+                    if inject_fault and cases == 0:
+                        formula += 1
+                    oracle = oracle_global_count_dp(q)
+                    cases += 1
+                    if formula != oracle:
+                        counterexample = counterexample or _mismatch(
+                            poly, k, c, n, formula, oracle,
+                            "global_count vs oracle_global_count_dp")
+                        break
+    if counterexample is not None:
+        return SuiteResult.fail("oracle-equivalence", cases, counterexample)
     return SuiteResult.ok("oracle-equivalence", cases)
 
 
@@ -254,13 +244,11 @@ def run_all(polys: Sequence[str] = DEFAULT_POLYNOMIALS,
             k_values: Sequence[int] = (2, 3),
             n_max: int = 30,
             seed: int = 0,
-            workers: int = 1,
             inject_fault: bool = False) -> list[SuiteResult]:
     """Run the four suites over the grid and return their results."""
     mn_max = min(2000, max(4, n_max * n_max))
     return [
-        oracle_equivalence_suite(polys, k_values, n_max,
-                                 workers=workers, inject_fault=inject_fault),
+        oracle_equivalence_suite(polys, k_values, n_max, inject_fault=inject_fault),
         multiplicativity_suite(polys, k_values, mn_max=mn_max, seed=seed),
         conservation_suite(polys, k_values, n_max),
         fast_path_suite(polys, k_values, n_max),

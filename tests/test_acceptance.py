@@ -41,8 +41,8 @@ def _report(label, ok):
 
 def test_criterion_1_oracle_equivalence_sweep():
     started = time.perf_counter()
-    main = oracle_equivalence_suite(FAMILY_TEXTS, (2, 3), 60, workers=1)
-    extension = oracle_equivalence_suite(FAMILY_TEXTS, (4,), 30, workers=1)
+    main = oracle_equivalence_suite(FAMILY_TEXTS, (2, 3), 60)
+    extension = oracle_equivalence_suite(FAMILY_TEXTS, (4,), 30)
     elapsed = time.perf_counter() - started
     ok = main.passed and extension.passed and elapsed < 300
     _report("1 oracle-equivalence sweep", ok)

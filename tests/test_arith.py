@@ -4,11 +4,15 @@ import time
 
 import pytest
 from hypothesis import given, settings
+from click.testing import CliRunner
 from hypothesis import strategies as st
 
 from exunits import arith
 from exunits.arith import factorize, is_prime, mod_inverse, prime_test
+from exunits.cli import cli
+from exunits.counting import CountQuery, count
 from exunits.errors import BudgetExceededError, DomainError, NotInvertibleError
+from exunits.poly import IntPolynomial
 
 # The least strong pseudoprimes to the first 1, 2, ..., 13 prime bases (OEIS
 # A014233, with repeats dropped); every one is a strong pseudoprime to base 2.
@@ -166,6 +170,48 @@ def test_factorize_refuses_a_balanced_semiprime_within_its_rho_budget():
     with pytest.raises(BudgetExceededError, match="Pollard rho budget"):
         factorize(n)
     assert time.perf_counter() - started < 5.0
+
+
+@pytest.mark.parametrize("n, entries", [
+    (35 * (2**89 - 1) ** 2, ((5, 1), (7, 1), (2**89 - 1, 2))),
+    ((2**61 - 1) ** 2, ((2**61 - 1, 2),)),
+    (35 * (10**12 + 39) ** 2, ((5, 1), (7, 1), (10**12 + 39, 2))),
+], ids=["35*(2^89-1)^2", "(2^61-1)^2", "35*(10^12+39)^2"])
+def test_factorize_takes_roots_of_prime_power_cofactors(n, entries):
+    # rho cannot split p**2 for a large prime p; the perfect-power check does
+    arith._factorize_cached.cache_clear()
+    started = time.perf_counter()
+    assert factorize(n).entries == entries
+    assert time.perf_counter() - started < 0.05
+
+
+def test_factorize_nested_perfect_powers():
+    arith._factorize_cached.cache_clear()
+    assert factorize(1009**2 * 1013**2 * 10007**4).entries == (
+        (1009, 2), (1013, 2), (10007, 4))
+    assert factorize((1009 * 1013) ** 6).entries == ((1009, 6), (1013, 6))
+    assert factorize((2**31 - 1) ** 5).entries == ((2**31 - 1, 5),)
+
+
+@given(st.integers(min_value=1, max_value=10**40), st.integers(min_value=2, max_value=12))
+@settings(max_examples=200, deadline=None)
+def test_integer_root_is_the_floor(n, e):
+    root = arith._integer_root(n, e)
+    assert root**e <= n < (root + 1) ** e
+
+
+def test_count_on_a_prime_square_modulus():
+    # N is multiplicative and N(q**2) = q**(k-1) * N(q), so the CLI's count at
+    # 35 * q**2 follows from counts at 35 and at q
+    q, k = 2**89 - 1, 3
+    f = IntPolynomial.parse("0,1,-1")
+    arith._factorize_cached.cache_clear()
+    result = CliRunner().invoke(cli, ["count", "--poly", "0,1,-1", "--k", str(k), "--c", "1",
+                                      "--n", str(35 * q**2)])
+    assert result.exit_code == 0
+    expected = (count(CountQuery(f, k, 1, 35)).value * q ** (k - 1)
+                * count(CountQuery(f, k, 1, q)).value)
+    assert int(result.output) == expected
 
 
 def test_factorize_above_the_bound():

@@ -184,12 +184,27 @@ def test_table_json():
                     {"c": 4, "value": "1"}]
 
 
-def test_table_over_budget_or_scan_cap_exits_2():
+def test_table_over_budget_exits_2():
     walk = run("table", "--poly", "0,-1,0,1", "--k", "800", "--n", "7")
     assert walk.exit_code == 2
     assert "budget" in walk.stderr
-    capped = run("--scan-cap", "50", "table", "--poly", "1,0,1", "--k", "2", "--n", "61")
-    assert capped.exit_code == 2
+
+
+def test_count_above_the_root_scan_cap_exits_2_without_scanning():
+    # x**2 + 1 has no closed form at 10000019, the least prime above 10**7
+    started = time.perf_counter()
+    result = run("count", "--poly", "1,0,1", "--k", "2", "--c", "1", "--n", "10000019")
+    assert time.perf_counter() - started < 0.1
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert result.stderr == "error: prime 10000019 exceeds the root-scan cap 10000000\n"
+
+
+def test_budget_options_are_gone():
+    for option, value in (("--scan-cap", "50"), ("--enum-budget", "10")):
+        result = run(option, value, "exunits", "--poly", "0,1", "--n", "6")
+        assert result.exit_code == 2
+        assert f"No such option '{option}'" in result.stderr
 
 
 def test_small_queries_never_import_numpy():
@@ -224,8 +239,9 @@ def test_exunits_listing():
 
 
 def test_exunits_budget_error():
-    result = run("--enum-budget", "10", "exunits", "--poly", "0,1", "--n", "100")
+    result = run("exunits", "--poly", "0,1", "--n", "1000001")
     assert result.exit_code == 2
+    assert result.stderr == "error: n = 1000001 exceeds the enumeration budget 1000000\n"
 
 
 def test_verify_passes_on_small_grid():
