@@ -261,7 +261,8 @@ def _factor_tail(n: int, counts: dict[int, int], multiplicity: int = 1) -> None:
     _factor_tail(n // d, counts, multiplicity)
 
 
-@lru_cache(maxsize=65536)
+# A few hundred moduli: every new one holds about 0.5 KB here.
+@lru_cache(maxsize=256)
 def _factorize_cached(n: int) -> PrimeFactorization:
     counts: dict[int, int] = {}
     m = n

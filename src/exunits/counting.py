@@ -25,11 +25,14 @@ assembly, regrouped to avoid rational arithmetic, is
 The general, linear and split-quadratic routes run this one per-prime
 engine and differ only in the precondition they check against n. Per prime
 the roots come in closed form (coprime-linear or split-quadratic f) or from
-a scan, and W is one walk over the roots whose base cases are the indicator
-(r = 1) and the binomial class sum (r = 2): above two roots it takes the
-first root j times, weighted by C(k, j), and walks the rest. Brauer's
-unit-sum count and the exceptional-unit count (x and 1 - x both units) stay
-independent closed forms.
+a scan, cached per polynomial and prime. With two roots {a, b}, W is the
+binomial class sum of C(k, j) over j == (c - b*k) / (a - b) (mod p), and
+one walk of j = 0..k/2 gives it at every two-root prime of a query (or at
+every residue, for a table), since C(k, j) = C(k, k - j). Above two roots W
+takes the first root j times, weighted by C(k, j), and walks the rest,
+keeping repeated sub-walks in a bounded memo. Brauer's unit-sum count and
+the exceptional-unit count (x and 1 - x both units) stay independent
+closed forms.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from typing import Sequence
 
 from .arith import factorize, is_prime, mod_inverse
@@ -81,6 +85,12 @@ MAX_K = 10**6
 # terms, each a big-integer multiply-add; past this many it is refused
 # before it starts.
 MAX_COMPOSITION_TERMS = 10**5
+
+# Binomial class sums up to _COMB_K take math.comb per class member, which
+# beats a walk in Python there. Above it the walk sorts the class hits of
+# _WALK_CHUNK consecutive j at a time, so its memory stays bounded at any k.
+# A walk over r >= 3 roots keeps at most _MEMO_ENTRIES sub-sums.
+_COMB_K, _WALK_CHUNK, _MEMO_ENTRIES = 64, 1024, 4096
 
 # count_table allocates one big integer per row; past this many rows it is
 # refused before anything is allocated.
@@ -149,35 +159,68 @@ def _validated_roots(roots: Sequence[int], p: int) -> tuple[int, ...]:
     return reduced
 
 
-def _binomial_class_sum(k: int, coef: int, target: int, p: int) -> int:
-    """Sum of C(k, j) over 0 <= j <= k with coef*j == target (mod p)."""
-    total = 0
+def _two_root_sums(k: int, cases: Sequence[tuple[tuple[int, ...], int, int]]) -> list[int]:
+    """W for each case (roots {a, b}, c, p): k-tuples of a and b summing to c.
+
+    A tuple taking a j times sums to a*j + b*(k - j), so W is the sum of
+    C(k, j) over the class j == t = (c - b*k) / (a - b) (mod p). One walk of
+    j = 0..k//2 serves every case: C(k, j) = C(k, k - j) goes to the classes
+    of both j and k - j, and the walk stops at the last j any class takes.
+    """
+    classes = []
+    for (a, b), c, p in cases:
+        classes.append(((c - b * k) * pow(a - b, -1, p) % p, p))
+    if k <= _COMB_K:
+        sums = []
+        for t, p in classes:
+            sums.append(sum(map(math.comb, repeat(k), range(t, k + 1, p))))
+        return sums
+    half, m = k // 2, len(classes)
+    sums = [0] * m
     binom = 1
-    for j in range(k + 1):
-        if (coef * j - target) % p == 0:
-            total += binom
-        binom = binom * (k - j) // (j + 1)
-    return total
+    j = 0
+    for lo in range(0, half + 1, _WALK_CHUNK):
+        hi = min(lo + _WALK_CHUNK, half + 1)
+        events = []    # j * m + i for each class i that takes C(k, j)
+        for i, (t, p) in enumerate(classes):
+            events += range((lo + (t - lo) % p) * m + i, hi * m, p * m)
+            events += range((lo + (k - t - lo) % p) * m + i, min(hi, k - half) * m, p * m)
+        events.sort()
+        for event in events:
+            at, i = divmod(event, m)
+            while j < at:
+                binom = binom * (k - j) // (j + 1)
+                j += 1
+            sums[i] += binom
+    return sums
 
 
-def _root_sum(roots: tuple[int, ...], k: int, c: int, p: int) -> int:
+def _root_sum(roots: tuple[int, ...], k: int, c: int, p: int, memo: dict) -> int:
     # W for distinct reduced roots and any k >= 0. One root x: every tuple
-    # sums to k*x. Roots {a, b}: a tuple taking a j times sums to
-    # a*j + b*(k-j). More roots: the first, x, taken j times fills C(k, j)
-    # position sets and leaves (k-j)-tuples of the others summing to c - j*x.
+    # sums to k*x. Two roots: one class sum. More roots: the first, x, taken
+    # j times fills C(k, j) position sets and leaves (k-j)-tuples of the
+    # others summing to c - j*x. Sub-walks repeat, within a walk and across
+    # the targets of the same roots, k and p, so memo keeps them by
+    # (r, k, c mod p); when full it starts over.
     r = len(roots)
     if r <= 1:
         return int(r == 1 and (k * roots[0] - c) % p == 0)
-    if r == 2:
-        a, b = roots
-        return _binomial_class_sum(k, (a - b) % p, (c - b * k) % p, p)
-    x, rest = roots[0], roots[1:]
-    total = 0
-    binom = 1
-    for j in range(k + 1):
-        total += binom * _root_sum(rest, k - j, c - j * x, p)
-        binom = binom * (k - j) // (j + 1)
-    return total
+    key = (r, k, c % p)
+    w = memo.get(key)
+    if w is None:
+        if r == 2:
+            w = _two_root_sums(k, [(roots, c, p)])[0]
+        else:
+            x, rest = roots[0], roots[1:]
+            w = 0
+            binom = 1
+            for j in range(k + 1):
+                w += binom * _root_sum(rest, k - j, c - j * x, p, memo)
+                binom = binom * (k - j) // (j + 1)
+        if len(memo) >= _MEMO_ENTRIES:
+            memo.clear()
+        memo[key] = w
+    return w
 
 
 def root_composition_count(roots: Sequence[int], k: int, c: int, p: int) -> int:
@@ -186,8 +229,8 @@ def root_composition_count(roots: Sequence[int], k: int, c: int, p: int) -> int:
 
     Up to two roots this is a closed-form sum. For r >= 3 it walks the
     multiplicity j of the first root, weights the rest by C(k, j) and
-    recurses down to the two-root sum: about C(k + r - 1, r - 1) terms,
-    refused with BudgetExceededError above MAX_COMPOSITION_TERMS.
+    recurses down to the two-root sum; more than MAX_COMPOSITION_TERMS
+    compositions, C(k + r - 1, r - 1), are refused with BudgetExceededError.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
@@ -198,17 +241,26 @@ def root_composition_count(roots: Sequence[int], k: int, c: int, p: int) -> int:
         if terms > MAX_COMPOSITION_TERMS:
             raise BudgetExceededError(
                 f"{terms} root compositions exceed the budget {MAX_COMPOSITION_TERMS}")
-    return _root_sum(reduced, k, c, p)
+    return _root_sum(reduced, k, c, p, _walk_memo(reduced, k, p))
 
 
-def _root_and_avoiding_sums(p: int, roots: tuple[int, ...], k: int, c: int) -> tuple[int, int]:
-    # (W, T) for the distinct reduced roots of f at p. When f vanishes
-    # identically mod p every tuple hits a root, so T = 0 with no W walk; up
-    # to two roots W is a closed form that needs no validation or budget.
+@lru_cache(maxsize=1)
+def _walk_memo(roots: tuple[int, ...], k: int, p: int) -> dict:
+    # The sub-sums of the last roots, k and p walked; they hold for every
+    # target c, so the residues of a table column share them.
+    return {}
+
+
+def _root_and_avoiding_sums(p: int, roots: tuple[int, ...], k: int, c: int,
+                            w: int | None = None) -> tuple[int, int]:
+    # (W, T) for the distinct reduced roots of f at p; W is computed unless
+    # given. When f vanishes identically mod p every tuple hits a root, so
+    # T = 0 with no W walk; up to two roots W needs no validation or budget.
     r = len(roots)
     if r == p:
         return p ** (k - 1), 0
-    w = _root_sum(roots, k, c, p) if r <= 2 else root_composition_count(roots, k, c, p)
+    if w is None:
+        w = _root_sum(roots, k, c, p, {}) if r <= 2 else root_composition_count(roots, k, c, p)
     t, rem = divmod((p - r) ** k + (-1) ** k * (p * w - r**k), p)
     if rem:
         raise InvariantViolationError("avoiding-tuple count is not an integer")
@@ -227,24 +279,23 @@ def count_avoiding_tuples(p: int, roots: Sequence[int], k: int, c: int) -> int:
     return _root_and_avoiding_sums(p, _validated_roots(roots, p), k, c)[1]
 
 
-@lru_cache(maxsize=4096)
-def _closed_form_roots(coeffs: tuple[int, ...], p: int) -> tuple[int, ...] | None:
-    # The roots of f mod p by modular inverses when f is coprime-linear or
-    # split-quadratic against p (any prime size, no scan), else None. Keyed
-    # by the coefficient tuple, whose hash is cheaper than the polynomial's.
-    form = classify(IntPolynomial(coeffs), p)
+# The one roots cache, keyed by the coefficient tuple (cheaper to hash than
+# the polynomial). The default verify grid needs 8 polynomials at 39 primes,
+# and at the acceptance sizes at 55, so 512 entries hold either. p comes
+# from factorize or is checked by the caller.
+@lru_cache(maxsize=512)
+def _roots_for_prime(coeffs: tuple[int, ...], p: int) -> tuple[int, ...]:
+    # By modular inverses when f is coprime-linear or split-quadratic against
+    # p (any prime size, no scan), else by a scan.
+    f = IntPolynomial(coeffs)
+    form = classify(f, p)
     if isinstance(form, LinearCoprime):
         return ((-form.b) * mod_inverse(form.a, p) % p,)
     if isinstance(form, SplitQuadratic):
         x = form.a2 * mod_inverse(form.a1, p) % p
         y = form.b2 * mod_inverse(form.b1, p) % p
         return (x, y) if x < y else (y, x)
-    return None
-
-
-def _roots_for_prime(f: IntPolynomial, p: int) -> tuple[int, ...]:
-    roots = _closed_form_roots(f.coeffs, p)
-    return root_set_mod_p(f, p) if roots is None else roots
+    return root_set_mod_p(f, p)
 
 
 def local_count(f: IntPolynomial, k: int, c: int, p: int) -> RootProfile:
@@ -257,7 +308,7 @@ def local_count(f: IntPolynomial, k: int, c: int, p: int) -> RootProfile:
         raise DomainError("k must be >= 2")
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    roots = _roots_for_prime(f, p)
+    roots = _roots_for_prime(f.coeffs, p)
     w, t = _root_and_avoiding_sums(p, roots, k, c % p)
     return RootProfile(p, roots, len(roots), w, t, p ** (k - 1) - t)
 
@@ -280,11 +331,20 @@ def _assemble(method: str, factors: list[LocalFactor]) -> CountReport:
 
 def _per_prime_count(q: CountQuery, method: str) -> CountReport:
     # The one engine behind every formula route: per prime, roots, then
-    # (W, T), then the regrouped factor; method only labels the report.
+    # (W, T), then the regrouped factor; method only labels the report. The
+    # two-root primes take W from one shared binomial-row walk.
     k, c = q.k, q.c_reduced
-    factors = []
+    primes = []
+    pairs = []
     for p, e in factorize(q.n):
-        _, t = _root_and_avoiding_sums(p, _roots_for_prime(q.f, p), k, c % p)
+        roots = _roots_for_prime(q.f.coeffs, p)
+        primes.append((p, e, roots))
+        if len(roots) == 2 != p:
+            pairs.append((roots, c, p))
+    w = dict(zip([p for _, _, p in pairs], _two_root_sums(k, pairs))) if pairs else {}
+    factors = []
+    for p, e, roots in primes:
+        _, t = _root_and_avoiding_sums(p, roots, k, c % p, w.get(p))
         factors.append(_local_factor(p, e, k, t))
     return _assemble(method, factors)
 
@@ -327,16 +387,20 @@ def count_table(f: IntPolynomial, k: int, n: int) -> list[int]:
     N depends on c only through c mod p at each p | n, so every prime gets
     one column of p regrouped factors, one per residue, and row c is the
     product of column[c % p] over the primes: sum(p) local evaluations
-    instead of one full count per row. More than TABLE_ROW_BUDGET rows are
-    refused with BudgetExceededError.
+    instead of one full count per row, and every residue of every two-root
+    prime takes its W from one binomial-row walk. More than
+    TABLE_ROW_BUDGET rows are refused with BudgetExceededError.
     """
     CountQuery(f, k, 0, n)
     if n > TABLE_ROW_BUDGET:
         raise BudgetExceededError(f"n = {n} exceeds the table budget {TABLE_ROW_BUDGET}")
+    primes = [(p, e, _roots_for_prime(f.coeffs, p)) for p, e in factorize(n)]
+    pairs = [(roots, a, p) for p, _, roots in primes if len(roots) == 2 != p for a in range(p)]
+    w = {(a, p): s for (_, a, p), s in zip(pairs, _two_root_sums(k, pairs))}
     values = [1] * n
-    for p, e in factorize(n):
-        roots = _roots_for_prime(f, p)
-        column = [_local_factor(p, e, k, _root_and_avoiding_sums(p, roots, k, a)[1]).contribution
+    for p, e, roots in primes:
+        column = [_local_factor(p, e, k,
+                                _root_and_avoiding_sums(p, roots, k, a, w.get((a, p)))[1]).contribution
                   for a in range(p)]
         for c in range(n):
             values[c] *= column[c % p]
@@ -384,9 +448,11 @@ def yang_zhao_count(k: int, c: int, n: int) -> CountReport:
     _check_k_n(k, n)
     c %= n
     sign = (-1) ** k
+    # S is W for the root pair {1, 0}
+    primes = factorize(n)
+    sums = _two_root_sums(k, [((1, 0), c, p) for p, _ in primes])
     factors = []
-    for p, e in factorize(n):
-        s = _binomial_class_sum(k, 1, c % p, p)
+    for (p, e), s in zip(primes, sums):
         bracket = p * s + (2 - p) ** k - 2**k
         unit, rem = divmod(sign * bracket, p)
         if rem:

@@ -133,32 +133,28 @@ def _blocked_values_mod(coeffs: tuple[int, ...], start: int, stop: int, m: int):
     return acc
 
 
-@lru_cache(maxsize=4096)
-def _scan_roots(coeffs: tuple[int, ...], p: int) -> tuple[int, ...]:
-    if _NUMPY_MIN_SIZE <= p < _NUMPY_MODULUS_LIMIT:
-        import numpy as np
-
-        roots: list[int] = []
-        for start in range(0, p, _BLOCK):
-            vals = _blocked_values_mod(coeffs, start, min(start + _BLOCK, p), p)
-            roots.extend((start + np.flatnonzero(vals == 0)).tolist())
-        return tuple(roots)
-    return tuple(x for x in range(p) if _horner_mod(coeffs, x, p) == 0)
-
-
 def root_set_mod_p(f: IntPolynomial, p: int) -> tuple[int, ...]:
     """All x in [0, p) with f(x) == 0 (mod p), each once, ascending.
 
     Multiplicity is deliberately discarded: only gcd(f(x), p) > 1 matters.
     This is an exhaustive scan, so a prime above ROOT_SCAN_CAP is refused
     with BudgetExceededError before any work; the closed-form counting
-    paths avoid this call entirely for large primes.
+    paths avoid this call entirely for large primes, and counting caches
+    its result per polynomial and prime.
     """
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     if p > ROOT_SCAN_CAP:
         raise BudgetExceededError(f"prime {p} exceeds the root-scan cap {ROOT_SCAN_CAP}")
-    return _scan_roots(f.coeffs, p)
+    if _NUMPY_MIN_SIZE <= p < _NUMPY_MODULUS_LIMIT:
+        import numpy as np
+
+        roots: list[int] = []
+        for start in range(0, p, _BLOCK):
+            vals = _blocked_values_mod(f.coeffs, start, min(start + _BLOCK, p), p)
+            roots.extend((start + np.flatnonzero(vals == 0)).tolist())
+        return tuple(roots)
+    return tuple(x for x in range(p) if _horner_mod(f.coeffs, x, p) == 0)
 
 
 def exunit_set(f: IntPolynomial, n: int, budget: int = DEFAULT_ENUM_BUDGET) -> tuple[int, ...]:

@@ -9,10 +9,11 @@ import time
 
 from click.testing import CliRunner
 
-from exunits import arith, counting, poly
+from exunits import arith, counting
 from exunits.cli import cli
 from exunits.counting import (
     CountQuery,
+    count,
     global_count,
     local_count,
     quadratic_count,
@@ -22,8 +23,9 @@ from exunits.oracle import (
     oracle_global_count,
     oracle_local_count,
 )
-from exunits.poly import IntPolynomial, exunit_set
+from exunits.poly import IntPolynomial, classify, exunit_set
 from exunits.verify import (
+    _independent_count,
     conservation_suite,
     fast_path_suite,
     multiplicativity_suite,
@@ -141,7 +143,7 @@ def test_criterion_7_performance():
     assert arith.is_prime(big_prime)
     cubic = IntPolynomial.parse("1,1,0,1")
     arith._factorize_cached.cache_clear()
-    poly._scan_roots.cache_clear()
+    counting._roots_for_prime.cache_clear()
     started = time.perf_counter()
     report = global_count(CountQuery(cubic, 4, 1, big_prime))
     scan_elapsed = time.perf_counter() - started
@@ -151,6 +153,25 @@ def test_criterion_7_performance():
     assert best < 0.010, f"quadratic_count took {best * 1000:.2f} ms"
     assert scan_elapsed < 2.0, f"global_count took {scan_elapsed:.2f} s"
     assert report.value > 0
+
+
+def test_split_quadratic_at_large_k_performance():
+    # (x - 1)(x - 2) has two roots at each of the five primes of n; one
+    # binomial-row walk to k/2 gives W at all of them
+    f = IntPolynomial.parse("2,-3,1")
+    n = 3**2 * 5 * 7**3 * 13 * 47
+    query = CountQuery(f, 8000, 1, n)
+    best = math.inf
+    for _ in range(3):
+        arith._factorize_cached.cache_clear()
+        counting._roots_for_prime.cache_clear()
+        started = time.perf_counter()
+        report = count(query)
+        best = min(best, time.perf_counter() - started)
+    exact = report.value == _independent_count(classify(f, n), 8000, 1, n)
+    _report("split quadratic at k = 8000", exact and best < 0.035)
+    assert exact
+    assert best < 0.035, f"count took {best * 1000:.1f} ms"
 
 
 def test_factorization_performance():
@@ -176,8 +197,7 @@ def test_table_column_performance():
     failures = []
     for text, k, n in (("0,-1,0,1", 40, 30030), ("1,1,0,1", 3, 99991)):
         arith._factorize_cached.cache_clear()
-        poly._scan_roots.cache_clear()
-        counting._closed_form_roots.cache_clear()
+        counting._roots_for_prime.cache_clear()
         started = time.perf_counter()
         result = CliRunner().invoke(cli, ["table", "--poly", text, "--k", str(k), "--n", str(n)])
         elapsed = time.perf_counter() - started

@@ -1,8 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from exunits import counting
 from exunits.counting import (
     CountQuery,
     brauer_count,
@@ -20,8 +24,10 @@ from exunits.arith import factorize, mod_inverse
 from exunits.errors import BudgetExceededError, DomainError, FastPathInapplicableError
 from exunits.oracle import oracle_global_count, oracle_global_count_dp, oracle_local_count
 from exunits.poly import IntPolynomial, LinearCoprime, SplitQuadratic, classify, exunit_set
-from exunits.verify import DEFAULT_POLYNOMIALS
+from exunits.verify import DEFAULT_POLYNOMIALS, _independent_count
 from conftest import SMALL_PRIMES
+
+PRIMES_TO_60 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)
 
 X = IntPolynomial.parse("0,1")
 X_MINUS_X2 = IntPolynomial.parse("0,1,-1")
@@ -88,6 +94,51 @@ def test_two_root_composition_is_a_binomial_class_sum():
                             math.comb(k, j) for j in range(k + 1)
                             if ((a - b) * j - (c - b * k)) % p == 0)
                         assert root_composition_count((a, b), k, c, p) == classed
+
+
+def _class_sum(k, a, b, c, p):
+    return sum(math.comb(k, j) for j in range(k + 1) if (a * j + b * (k - j) - c) % p == 0)
+
+
+@st.composite
+def _two_root_cases(draw):
+    p = draw(st.sampled_from(PRIMES_TO_60))
+    a, b = draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=2, unique=True))
+    return (a, b), draw(st.integers(-1000, 1000)), p
+
+
+@given(st.integers(0, 400), st.lists(_two_root_cases(), max_size=6))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_two_root_sums_match_math_comb(k, cases):
+    # odd and even k on both sides of the math.comb cut-off, several primes
+    # in one walk, p > k included
+    assert counting._two_root_sums(k, cases) == [
+        _class_sum(k, a, b, c, p) for (a, b), c, p in cases]
+    if k >= 1 and cases:     # the public wrapper takes k >= 1
+        (a, b), c, p = cases[0]
+        assert root_composition_count((a, b), k, c, p) == _class_sum(k, a, b, c, p)
+
+
+def test_two_root_sums_across_walk_chunks(monkeypatch):
+    # a chunk of 7 steps puts class hits on both sides of many chunk edges
+    monkeypatch.setattr(counting, "_WALK_CHUNK", 7)
+    for k in (65, 66, 100, 101):
+        cases = [((1, 0), c, p) for p in (2, 3, 7, 13, 101, 1009) for c in range(min(p, 15))]
+        cases += [((5, 2), c, 13) for c in range(13)]
+        assert counting._two_root_sums(k, cases) == [
+            _class_sum(k, a, b, c, p) for (a, b), c, p in cases]
+
+
+def test_root_composition_with_a_memo_that_keeps_starting_over(monkeypatch):
+    # the walk memo, shared by the targets of one (roots, k, p), changes no
+    # sum when it is cleared every few entries
+    monkeypatch.setattr(counting, "_MEMO_ENTRIES", 3)
+    counting._walk_memo.cache_clear()
+    for roots, k, p in (((0, 1, 6), 40, 7), ((1, 2, 4, 8, 9), 12, 11), ((0, 2, 3, 5), 9, 101)):
+        dist = [1] + [0] * (p - 1)
+        for _ in range(k):
+            dist = [sum(dist[(a - x) % p] for x in roots) for a in range(p)]
+        assert [root_composition_count(roots, k, c, p) for c in range(p)] == dist
 
 
 def test_root_composition_budget():
@@ -409,13 +460,11 @@ def test_quadratic_count_agrees_with_general():
 def test_quadratic_value_invariant_under_factor_presentation():
     # x - x**2 = (x - 0)(-x + 1) = (-x - 0)(x - 1): all presentations
     # satisfying the gcd conditions give the same count as the normalised one
-    from exunits.counting import _binomial_class_sum
-
     def literal(a1, a2, b1, b2, k, c, n):
         value = 1
         for p, e in factorize(n):
-            s = _binomial_class_sum(k, (a2 * b1 - a1 * b2) % p,
-                                    (a1 * b1 * c - a1 * b2 * k) % p, p)
+            s = sum(math.comb(k, j) for j in range(k + 1)
+                    if ((a2 * b1 - a1 * b2) * j - (a1 * b1 * c - a1 * b2 * k)) % p == 0)
             bracket = p * s + (2 - p) ** k - 2**k
             unit = (-1) ** k * bracket // p
             value *= p ** ((e - 1) * (k - 1)) * unit
@@ -462,6 +511,28 @@ def test_fast_paths_match_classical_counts_beyond_every_oracle():
                 shifted = (form.a1 * form.b1 * c - k * form.a2 * form.b1) * scale % n
                 assert (quadratic_count(_q(IntPolynomial.parse(text), k, c, n)).value
                         == yang_zhao_count(k, shifted, n).value)
+
+
+def test_split_quadratics_at_large_k_match_yang_zhao():
+    # every prime of n has two roots, so one binomial-row walk serves them all
+    rng = random.Random(10)
+    for text, n in (("2,-3,1", 3**2 * 5 * 7**3 * 13 * 47), ("0,1,-1", 3 * 5 * 7 * 11),
+                    ("1,5,6", 5**2 * 7 * 11 * 13), ("6,-5,1", 7 * 11 * 13 * 31)):
+        f = IntPolynomial.parse(text)
+        form = classify(f, n)
+        assert isinstance(form, SplitQuadratic)
+        for k in (1000, 4001, 8000):
+            for c in (0, 1, rng.randrange(n)):
+                assert count(_q(f, k, c, n)).value == _independent_count(form, k, c, n)
+
+
+def test_count_table_at_large_k_matches_per_target_counts():
+    # x - x**2 has no exunit mod 2, so every row of the first table is 0
+    rng = random.Random(11)
+    for n in (30030, 3 * 5 * 7 * 11):
+        table = count_table(X_MINUS_X2, 5000, n)
+        for c in sorted(rng.sample(range(n), 8)):
+            assert table[c] == count(_q(X_MINUS_X2, 5000, c, n)).value, (n, c)
 
 
 def test_degenerate_prime_contributions():
