@@ -4,8 +4,8 @@ Subcommands: count (one query), table (a full c-sweep), exunits (list
 E_f(n)) and verify (the formula-vs-oracle harness). Exit codes are a stable
 contract: 0 success, 1 verification mismatch, 2 input error, 3 requested
 method inapplicable. Every work budget (root-scan cap, enumeration, oracle,
-composition, table and rho budgets) is a module constant, not an option;
-input past one exits 2.
+W, table and rho budgets) is a module constant, not an option; input past
+one exits 2.
 """
 
 from __future__ import annotations

@@ -26,13 +26,18 @@ The general, linear and split-quadratic routes run this one per-prime
 engine and differ only in the precondition they check against n. Per prime
 the roots come in closed form (coprime-linear or split-quadratic f) or from
 a scan, cached per polynomial and prime. With two roots {a, b}, W is the
-binomial class sum of C(k, j) over j == (c - b*k) / (a - b) (mod p), and
-one walk of j = 0..k/2 gives it at every two-root prime of a query (or at
-every residue, for a table), since C(k, j) = C(k, k - j). Above two roots W
+binomial class sum of C(k, j) over j == (c - b*k) / (a - b) (mod p): one
+math.comb when p > k, else one walk of j = 0..k/2 gives it at every
+two-root prime of a query (or at every residue, for a table), since
+C(k, j) = C(k, k - j). Above two roots W for every c at once is the k-th
+power of the root indicator in Z[x]/(x^p - 1), packed into one int
+(Kronecker substitution). Where p*k*log2 r makes that int long, W instead
 takes the first root j times, weighted by C(k, j), and walks the rest,
-keeping repeated sub-walks in a bounded memo. Brauer's unit-sum count and
-the exceptional-unit count (x and 1 - x both units) stay independent
-closed forms.
+keeping repeated sub-walks in a bounded memo. Each strategy estimates its
+seconds from (p, k, r) and the cheaper one runs; W is refused at once when
+even that estimate passes one budget. Brauer's unit-sum count and the
+exceptional-unit count (x and 1 - x both units) stay independent closed
+forms.
 """
 
 from __future__ import annotations
@@ -60,7 +65,6 @@ from .poly import (
 
 __all__ = [
     "MAX_K",
-    "MAX_COMPOSITION_TERMS",
     "CountQuery",
     "RootProfile",
     "LocalFactor",
@@ -81,16 +85,17 @@ __all__ = [
 # so k is kept to desk scale.
 MAX_K = 10**6
 
-# A composition walk over r >= 3 roots visits about C(k + r - 1, r - 1)
-# terms, each a big-integer multiply-add; past this many it is refused
-# before it starts.
-MAX_COMPOSITION_TERMS = 10**5
-
-# Binomial class sums up to _COMB_K take math.comb per class member, which
-# beats a walk in Python there. Above it the walk sorts the class hits of
-# _WALK_CHUNK consecutive j at a time, so its memory stays bounded at any k.
-# A walk over r >= 3 roots keeps at most _MEMO_ENTRIES sub-sums.
+# Binomial class sums up to _COMB_K, and every class with p > k (at most one
+# member), take math.comb per class member, which beats a walk in Python
+# there. Otherwise the walk sorts the class hits of _WALK_CHUNK consecutive j
+# at a time, so its memory stays bounded at any k. A walk over r >= 3 roots
+# keeps at most _MEMO_ENTRIES sub-sums.
 _COMB_K, _WALK_CHUNK, _MEMO_ENTRIES = 64, 1024, 4096
+
+# Each W strategy estimates its seconds before it starts, by models fitted to
+# timings on a 2-CPU x86-64 machine under CPython 3.11; W is refused with
+# BudgetExceededError when the cheapest estimate passes W_COST_BUDGET.
+W_COST_BUDGET = 2.0
 
 # count_table allocates one big integer per row; past this many rows it is
 # refused before anything is allocated.
@@ -150,7 +155,9 @@ class CountReport:
     per_prime: tuple[LocalFactor, ...]
 
 
-def _validated_roots(roots: Sequence[int], p: int) -> tuple[int, ...]:
+# Kept for the last (roots, p), so the residues of a table column test p once.
+@lru_cache(maxsize=1)
+def _validated_roots(roots: tuple[int, ...], p: int) -> tuple[int, ...]:
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     reduced = tuple(x % p for x in roots)
@@ -159,30 +166,46 @@ def _validated_roots(roots: Sequence[int], p: int) -> tuple[int, ...]:
     return reduced
 
 
+def _check_w_cost(cost: float, what: str) -> None:
+    if cost > W_COST_BUDGET:
+        raise BudgetExceededError(
+            f"{what}: estimated {cost:.3g} s, over the W budget of {W_COST_BUDGET:g} s")
+
+
 def _two_root_sums(k: int, cases: Sequence[tuple[tuple[int, ...], int, int]]) -> list[int]:
     """W for each case (roots {a, b}, c, p): k-tuples of a and b summing to c.
 
     A tuple taking a j times sums to a*j + b*(k - j), so W is the sum of
-    C(k, j) over the class j == t = (c - b*k) / (a - b) (mod p). One walk of
-    j = 0..k//2 serves every case: C(k, j) = C(k, k - j) goes to the classes
-    of both j and k - j, and the walk stops at the last j any class takes.
+    C(k, j) over the class j == t = (c - b*k) / (a - b) (mod p). Up to
+    _COMB_K, and whenever p > k, each class is summed by math.comb. One walk
+    of j = 0..k//2 serves every other case: C(k, j) = C(k, k - j) goes to the
+    classes of both j and k - j, and the walk stops at the last j any class
+    takes. Above _COMB_K their estimated cost is checked against
+    W_COST_BUDGET before either starts.
     """
     classes = []
     for (a, b), c, p in cases:
         classes.append(((c - b * k) * pow(a - b, -1, p) % p, p))
     if k <= _COMB_K:
-        sums = []
-        for t, p in classes:
-            sums.append(sum(map(math.comb, repeat(k), range(t, k + 1, p))))
-        return sums
+        return [sum(map(math.comb, repeat(k), range(t, k + 1, p))) for t, p in classes]
+    walked = [i for i, (_, p) in enumerate(classes) if p <= k]
+    # math.comb(k, t) costs about the square of its bit length, at most
+    # m*log2(e*k/m) for m = min(t, k - t); a walk step costs O(k).
+    cost = 1.3e-10 * k * k if walked else 0.0
+    for t, p in classes:
+        m = min(t, k - t)
+        if p > k and m > 0:
+            cost += 1e-11 * (m * math.log2(math.e * k / m)) ** 2
+    _check_w_cost(cost, f"binomial class sums at k = {k}")
+    sums = [0 if p <= k else math.comb(k, t) for t, p in classes]
     half, m = k // 2, len(classes)
-    sums = [0] * m
     binom = 1
     j = 0
     for lo in range(0, half + 1, _WALK_CHUNK):
         hi = min(lo + _WALK_CHUNK, half + 1)
         events = []    # j * m + i for each class i that takes C(k, j)
-        for i, (t, p) in enumerate(classes):
+        for i in walked:
+            t, p = classes[i]
             events += range((lo + (t - lo) % p) * m + i, hi * m, p * m)
             events += range((lo + (k - t - lo) % p) * m + i, min(hi, k - half) * m, p * m)
         events.sort()
@@ -223,30 +246,102 @@ def _root_sum(roots: tuple[int, ...], k: int, c: int, p: int, memo: dict) -> int
     return w
 
 
+def _packed_root_sums(roots: tuple[int, ...], k: int, p: int) -> tuple[int, ...]:
+    """W for every target c mod p: the k-th power of sum(x**a for a in roots)
+    in Z[x]/(x**p - 1), by square-and-multiply on one int of p slots of w
+    bits. Every partial power's coefficients sum to at most r**k < 2**w, so
+    no slot carries and reducing mod x**p - 1 folds the high p slots down.
+    """
+    r = len(roots)
+    total = r**k
+    width = total.bit_length() // 8 + 1     # bytes per slot: 1 + bit length
+    w = 8 * width
+    span = p * w
+    mask = (1 << span) - 1
+    shifts = [a * w for a in roots]
+    acc = sum(1 << s for s in shifts)
+    for bit in bin(k)[3:]:
+        x = acc * acc
+        acc = (x & mask) + (x >> span)
+        if bit == "1":
+            x = sum(acc << s for s in shifts)
+            acc = (x & mask) + (x >> span)
+    data = acc.to_bytes(p * width, "little")
+    sums = tuple(int.from_bytes(data[i:i + width], "little")
+                 for i in range(0, p * width, width))
+    if sum(sums) != total:
+        raise InvariantViolationError("packed root sums do not add up to r**k")
+    return sums
+
+
+def _power_cost(p: int, k: int, r: int) -> float:
+    # log2 k squarings of p slots of about k*log2 r bits (Karatsuba, about
+    # bits**1.5 here), a shift-add per root at each set bit of k, and one
+    # read-back per slot
+    bits = p * 8 * (int(k * math.log2(r)) // 8 + 1)
+    squarings, products = k.bit_length() - 1, bin(k).count("1") - 1
+    return 5.1e-6 + 3.0e-7 * p + 4.3e-11 * squarings * bits**1.5 + 3.5e-10 * products * r * bits
+
+
+def _walk_cost(p: int, k: int, r: int) -> float:
+    # Sub-sums after d roots: at most C(k + d, d), and p*(k + 1) once their
+    # residues repeat (then a memo too small for them keeps starting over,
+    # so the walk is not considered). Above two roots each loops over its k'
+    # (about k/(d + 1), or k/2), multiplying ints of about k*log2 r bits; at
+    # two, with k' spread over 0..k, it walks k'/2 binomials when p <= k',
+    # else takes one math.comb with chance k'/p.
+    nodes = loops = 0.0
+    for d in range(r - 1):
+        compositions = math.comb(k + d, d)
+        shared = compositions > p * (k + 1)
+        n = p * (k + 1) if shared else compositions
+        if shared and nodes + n > _MEMO_ENTRIES:
+            return math.inf
+        nodes += n
+        if d < r - 2:
+            loops += n * ((k / 2 if shared else k / (d + 1)) + 1)
+    walks = n * max(k**3 - p**3, 0) / (3 * k)
+    combs = n * min(k, p) ** 4 / (4 * p * k)
+    return (3e-6 * nodes + (1.41e-8 + 1.68e-9 * k * math.log2(r)) * loops
+            + 2.41e-10 * walks + 1.59e-11 * combs)
+
+
+def _w_strategy(p: int, k: int, r: int, targets: int = 1) -> str:
+    # "power" (every target at once) or "walk" (a walk per target), whichever
+    # is estimated cheaper for that many targets of r >= 3 roots mod p
+    power, walk = _power_cost(p, k, r), targets * _walk_cost(p, k, r)
+    _check_w_cost(min(power, walk), f"W for {r} roots mod {p} at k = {k}")
+    return "power" if power <= walk else "walk"
+
+
 def root_composition_count(roots: Sequence[int], k: int, c: int, p: int) -> int:
     """Ordered k-tuples (repetition allowed) of the given residues summing to
     c mod p.
 
-    Up to two roots this is a closed-form sum. For r >= 3 it walks the
-    multiplicity j of the first root, weights the rest by C(k, j) and
-    recurses down to the two-root sum; more than MAX_COMPOSITION_TERMS
-    compositions, C(k + r - 1, r - 1), are refused with BudgetExceededError.
+    Up to two roots this is a closed-form sum. For r >= 3 it takes, by
+    estimated cost, either the k-th power of the root indicator in
+    Z[x]/(x**p - 1), which gives every target at once, or a walk over the
+    multiplicity of the first root, weighting the rest by C(k, j) down to the
+    two-root sum. Work estimated past W_COST_BUDGET is refused with
+    BudgetExceededError before it starts.
     """
     if k < 1:
         raise DomainError("k must be >= 1")
-    reduced = _validated_roots(roots, p)
+    reduced = _validated_roots(tuple(roots), p)
     r = len(reduced)
-    if r >= 3:
-        terms = math.comb(k + r - 1, r - 1)
-        if terms > MAX_COMPOSITION_TERMS:
-            raise BudgetExceededError(
-                f"{terms} root compositions exceed the budget {MAX_COMPOSITION_TERMS}")
-    return _root_sum(reduced, k, c, p, _walk_memo(reduced, k, p))
+    if r <= 2:
+        return _root_sum(reduced, k, c, p, {})
+    memo = _w_memo(reduced, k, p)
+    if None not in memo and _w_strategy(p, k, r) == "power":
+        memo[None] = _packed_root_sums(reduced, k, p)
+    sums = memo.get(None)
+    return _root_sum(reduced, k, c, p, memo) if sums is None else sums[c % p]
 
 
 @lru_cache(maxsize=1)
-def _walk_memo(roots: tuple[int, ...], k: int, p: int) -> dict:
-    # The sub-sums of the last roots, k and p walked; they hold for every
+def _w_memo(roots: tuple[int, ...], k: int, p: int) -> dict:
+    # What W found for the last roots, k and p: W for every target under
+    # None once the power ran, else the walk's sub-sums. Both hold for every
     # target c, so the residues of a table column share them.
     return {}
 
@@ -255,7 +350,7 @@ def _root_and_avoiding_sums(p: int, roots: tuple[int, ...], k: int, c: int,
                             w: int | None = None) -> tuple[int, int]:
     # (W, T) for the distinct reduced roots of f at p; W is computed unless
     # given. When f vanishes identically mod p every tuple hits a root, so
-    # T = 0 with no W walk; up to two roots W needs no validation or budget.
+    # T = 0 with no W; up to two roots W needs no validation.
     r = len(roots)
     if r == p:
         return p ** (k - 1), 0
@@ -276,7 +371,7 @@ def count_avoiding_tuples(p: int, roots: Sequence[int], k: int, c: int) -> int:
     """
     if k < 1:
         raise DomainError("k must be >= 1")
-    return _root_and_avoiding_sums(p, _validated_roots(roots, p), k, c)[1]
+    return _root_and_avoiding_sums(p, _validated_roots(tuple(roots), p), k, c)[1]
 
 
 # The one roots cache, keyed by the coefficient tuple (cheaper to hash than
@@ -388,17 +483,23 @@ def count_table(f: IntPolynomial, k: int, n: int) -> list[int]:
     one column of p regrouped factors, one per residue, and row c is the
     product of column[c % p] over the primes: sum(p) local evaluations
     instead of one full count per row, and every residue of every two-root
-    prime takes its W from one binomial-row walk. More than
-    TABLE_ROW_BUDGET rows are refused with BudgetExceededError.
+    prime takes its W from one binomial-row walk. A prime with r >= 3
+    roots takes every residue's W from one power when that is estimated
+    cheaper than a walk per residue. More than TABLE_ROW_BUDGET rows, or W
+    estimated past W_COST_BUDGET, are refused with BudgetExceededError.
     """
     CountQuery(f, k, 0, n)
     if n > TABLE_ROW_BUDGET:
         raise BudgetExceededError(f"n = {n} exceeds the table budget {TABLE_ROW_BUDGET}")
     primes = [(p, e, _roots_for_prime(f.coeffs, p)) for p, e in factorize(n)]
+    strategies = {p: _w_strategy(p, k, len(roots), p)
+                  for p, _, roots in primes if 3 <= len(roots) < p}
     pairs = [(roots, a, p) for p, _, roots in primes if len(roots) == 2 != p for a in range(p)]
     w = {(a, p): s for (_, a, p), s in zip(pairs, _two_root_sums(k, pairs))}
     values = [1] * n
     for p, e, roots in primes:
+        if strategies.get(p) == "power":
+            _w_memo(roots, k, p)[None] = _packed_root_sums(roots, k, p)
         column = [_local_factor(p, e, k,
                                 _root_and_avoiding_sums(p, roots, k, a, w.get((a, p)))[1]).contribution
                   for a in range(p)]

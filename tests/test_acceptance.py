@@ -14,6 +14,7 @@ from exunits.cli import cli
 from exunits.counting import (
     CountQuery,
     count,
+    count_table,
     global_count,
     local_count,
     quadratic_count,
@@ -21,6 +22,7 @@ from exunits.counting import (
 from exunits.oracle import (
     count_zero_product_tuples,
     oracle_global_count,
+    oracle_global_count_dp,
     oracle_local_count,
 )
 from exunits.poly import IntPolynomial, classify, exunit_set
@@ -172,6 +174,36 @@ def test_split_quadratic_at_large_k_performance():
     _report("split quadratic at k = 8000", exact and best < 0.035)
     assert exact
     assert best < 0.035, f"count took {best * 1000:.1f} ms"
+
+
+def test_many_root_w_performance():
+    # x**3 - x has three roots mod 7, 11 and 13; one packed power per prime
+    # gives W for every target, where the composition walk took about 14 ms
+    # at k = 445 mod 7 and refused anything larger
+    cubic = IntPolynomial.parse("0,-1,0,1")
+    query = CountQuery(cubic, 10**4, 1, 7)
+    runs = {"count at k = 10**4, n = 7": lambda: count(query),
+            "table at k = 445, n = 1001": lambda: count_table(cubic, 445, 1001)}
+    slow = {}
+    for label, run in runs.items():
+        best = math.inf
+        for _ in range(3):
+            arith._factorize_cached.cache_clear()
+            counting._roots_for_prime.cache_clear()
+            counting._w_memo.cache_clear()
+            started = time.perf_counter()
+            out = run()
+            best = min(best, time.perf_counter() - started)
+        if best >= 0.050:
+            slow[label] = f"{best * 1000:.1f} ms"
+    table = out
+    exact = (count(query).value == oracle_global_count_dp(query)
+             and sum(table) == len(exunit_set(cubic, 1001)) ** 445
+             and all(table[c] == count(CountQuery(cubic, 445, c, 1001)).value
+                     for c in (0, 1, 500, 1000)))
+    _report("many-root W", exact and not slow)
+    assert exact
+    assert not slow, slow
 
 
 def test_factorization_performance():

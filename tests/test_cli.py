@@ -92,9 +92,17 @@ def test_count_over_budget_exits_2_before_computing():
              "--method", "oracle-dp")
     assert dp.exit_code == 2
     assert "budget" in dp.stderr
-    walk = run("count", "--poly", "0,-1,0,1", "--k", "800", "--c", "1", "--n", "7")
+    power = run("count", "--poly", "0,-1,0,1", "--k", "1000000", "--c", "1", "--n", "7")
+    assert power.exit_code == 2
+    assert "budget" in power.stderr
+    # x - x**2 has two roots at 5 and 7: one binomial walk to k/2 refuses it
+    started = time.perf_counter()
+    walk = run("count", "--poly", "0,1,-1", "--k", "1000000", "--c", "1", "--n", "35")
+    assert time.perf_counter() - started < 0.5
     assert walk.exit_code == 2
-    assert "budget" in walk.stderr
+    assert walk.stdout == ""
+    assert walk.stderr == ("error: binomial class sums at k = 1000000: estimated 130 s, "
+                           "over the W budget of 2 s\n")
     # x - x**2 has no exunit mod 10**7, so only the scan's charge refuses it
     started = time.perf_counter()
     scan = run("count", "--poly", "0,1,-1", "--k", "2", "--c", "0", "--n", "10000000",
@@ -185,7 +193,11 @@ def test_table_json():
 
 
 def test_table_over_budget_exits_2():
-    walk = run("table", "--poly", "0,-1,0,1", "--k", "800", "--n", "7")
+    power = run("table", "--poly", "0,-1,0,1", "--k", "1000000", "--n", "7")
+    assert power.exit_code == 2
+    assert power.stderr == ("error: W for 3 roots mod 7 at k = 1000000: estimated 30.3 s, "
+                            "over the W budget of 2 s\n")
+    walk = run("table", "--poly", "0,1,-1", "--k", "1000000", "--n", "35")
     assert walk.exit_code == 2
     assert "budget" in walk.stderr
 
@@ -291,6 +303,6 @@ def test_verify_rejects_bad_arities():
 
 
 def test_verify_over_budget_exits_2():
-    result = run("verify", "--n-max", "5", "--k", "800", "--poly", "0,-1,0,1")
+    result = run("verify", "--n-max", "5", "--k", "1000000", "--poly", "0,-1,0,1")
     assert result.exit_code == 2
     assert "budget" in result.stderr

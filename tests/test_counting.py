@@ -1,9 +1,11 @@
+import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from exunits import counting
@@ -53,8 +55,6 @@ def test_root_composition_rejects_duplicates():
 
 
 def test_root_composition_matches_direct_enumeration():
-    import itertools
-
     cases = [(p, tuple(r for r in roots if r < p))
              for p in (3, 5, 7) for roots in ((), (1,), (0, 2), (1, 2, 4))]
     cases += [(7, (0, 1, 3, 4)), (7, (0, 1, 3, 4, 6)), (11, (1, 2, 4, 8, 9))]
@@ -67,17 +67,38 @@ def test_root_composition_matches_direct_enumeration():
                 assert root_composition_count(roots, k, c, p) == direct, (roots, k, c, p)
 
 
+def _cyclic_convolutions(roots, p, ks):
+    # {k: [k-tuples of roots summing to c mod p for every c]}, one step of
+    # the cyclic convolution per unit of k
+    dist, out = [1] + [0] * (p - 1), {}
+    for k in range(1, max(ks) + 1):
+        dist = [sum(dist[(a - x) % p] for x in roots) for a in range(p)]
+        if k in ks:
+            out[k] = dist
+    return out
+
+
+def _over_budget(p, k, r):
+    # the refusal W must raise for r >= 3 roots, or None within the budget
+    cost = min(counting._power_cost(p, k, r), counting._walk_cost(p, k, r))
+    if cost <= counting.W_COST_BUDGET:
+        return None
+    return (f"W for {r} roots mod {p} at k = {k}: estimated {cost:.3g} s, "
+            f"over the W budget of {counting.W_COST_BUDGET:g} s")
+
+
 def test_root_composition_matches_convolution_up_to_the_budget():
-    # the k-fold cyclic convolution of the root indicator over Z_p, at the
-    # largest k each root count allows: C(447, 2) = 99681 for r = 3 and
-    # C(34, 4) = 46376 for r = 5; C(448, 2) = 100128 is refused
-    for roots, k, p in (((0, 1, 6), 445, 7), ((1, 2, 4, 8, 9), 30, 11)):
-        dist = [1] + [0] * (p - 1)
-        for _ in range(k):
-            dist = [sum(dist[(a - x) % p] for x in roots) for a in range(p)]
-        assert [root_composition_count(roots, k, c, p) for c in range(p)] == dist
-    with pytest.raises(BudgetExceededError):
-        root_composition_count((0, 1, 6), 446, 1, 7)
+    # the k-fold cyclic convolution of the root indicator over Z_p, past
+    # the old composition budget (k = 445 for r = 3, k = 30 for r = 5) up to
+    # k = 10**4; k = 10**6 is over the W budget and refused before any work
+    for roots, p, ks in (((0, 1, 6), 7, (445, 1000, 10**4)), ((1, 2, 4, 8, 9), 11, (30, 1000))):
+        for k, dist in _cyclic_convolutions(roots, p, ks).items():
+            assert [root_composition_count(roots, k, c, p) for c in range(p)] == dist, k
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as refused:
+        root_composition_count((0, 1, 6), 10**6, 1, 7)
+    assert time.perf_counter() - started < 0.1
+    assert str(refused.value) == _over_budget(7, 10**6, 3)
 
 
 def test_two_root_composition_is_a_binomial_class_sum():
@@ -133,21 +154,109 @@ def test_root_composition_with_a_memo_that_keeps_starting_over(monkeypatch):
     # the walk memo, shared by the targets of one (roots, k, p), changes no
     # sum when it is cleared every few entries
     monkeypatch.setattr(counting, "_MEMO_ENTRIES", 3)
-    counting._walk_memo.cache_clear()
+    monkeypatch.setattr(counting, "_w_strategy", lambda *args: "walk")
+    counting._w_memo.cache_clear()
     for roots, k, p in (((0, 1, 6), 40, 7), ((1, 2, 4, 8, 9), 12, 11), ((0, 2, 3, 5), 9, 101)):
-        dist = [1] + [0] * (p - 1)
-        for _ in range(k):
-            dist = [sum(dist[(a - x) % p] for x in roots) for a in range(p)]
+        dist = _cyclic_convolutions(roots, p, {k})[k]
         assert [root_composition_count(roots, k, c, p) for c in range(p)] == dist
 
 
+@st.composite
+def _root_sets(draw):
+    p = draw(st.sampled_from(PRIMES_TO_60[1:]))
+    r = draw(st.integers(3, min(p, 6)))
+    return tuple(draw(st.lists(st.integers(0, p - 1), min_size=r, max_size=r, unique=True))), p
+
+
+@given(_root_sets(), st.sampled_from(range(1, 301)), st.sampled_from(["power", "walk"]))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_forced_w_strategies_match_convolution(root_set, k, strategy):
+    # each strategy, forced past the chooser, gives every target's W; the
+    # walk only where it is cheap, since with many roots and repeated
+    # residues it restarts its memo over and over
+    roots, p = root_set
+    if strategy == "walk":
+        assume(counting._walk_cost(p, k, len(roots)) < 0.05)
+    counting._w_memo.cache_clear()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(counting, "_w_strategy", lambda *args: strategy)
+        sums = [root_composition_count(roots, k, c, p) for c in range(p)]
+    assert sums == _cyclic_convolutions(roots, p, {k})[k]
+
+
+def test_packed_root_sums_add_up_to_r_to_the_k():
+    assert sum(counting._packed_root_sums((0, 1, 6), 445, 7)) == 3**445
+    # k = 1 is the indicator itself; the root set Z_p spreads r**k evenly
+    assert counting._packed_root_sums((0, 2, 5), 1, 7) == (1, 0, 1, 0, 0, 1, 0)
+    assert counting._packed_root_sums((0, 1, 2, 3, 4), 9, 5) == (5**8,) * 5
+
+
+def test_w_strategy_by_cost():
+    # the power wherever p*k*log2 r is small, the walk at large p
+    assert counting._w_strategy(7, 445, 3) == "power"
+    assert counting._w_strategy(11, 30, 5) == "power"
+    assert counting._w_strategy(19, 171, 3) == "power"
+    assert counting._w_strategy(1009, 50, 3) == "walk"
+    assert counting._w_strategy(999983, 3, 3) == "walk"
+    # never the power at a scanned prime of 10**3 and above at small k
+    for p in (1009, 10007, 99991, 999983, 9999991):
+        for k in range(2, 7):
+            for r in range(3, 6):
+                assert counting._w_strategy(p, k, r) == "walk", (p, k, r)
+
+
 def test_root_composition_budget():
-    # r >= 3 walks C(k + r - 1, r - 1) compositions: C(802, 2) = 321201 is refused
-    with pytest.raises(BudgetExceededError):
-        root_composition_count((0, 1, 6), 800, 1, 7)
-    # a polynomial vanishing identically mod p needs no walk at any k
+    # refused before any work: r >= 3 when both strategies are over the
+    # budget, and r = 2 by its class sums (a walk, or one math.comb when
+    # p > k)
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceededError) as refused:
+        root_composition_count((0, 1, 2, 3, 4), 300, 1, 999983)
+    assert str(refused.value) == _over_budget(999983, 300, 5)
+    with pytest.raises(BudgetExceededError, match=r"^binomial class sums at k = 1000000: "):
+        root_composition_count((0, 1), 10**6, 1, 7)
+    with pytest.raises(BudgetExceededError, match=r"^binomial class sums at k = 1000000: "):
+        root_composition_count((0, 1), 10**6, 5 * 10**5, 1000003)
+    with pytest.raises(BudgetExceededError, match=r"^binomial class sums at k = 1000000: "):
+        count(CountQuery(X_MINUS_X2, 10**6, 1, 35))
+    with pytest.raises(BudgetExceededError, match=r"^binomial class sums at k = 1000000: "):
+        count_table(X_MINUS_X2, 10**6, 35)
+    assert time.perf_counter() - started < 0.5
+    # one class member far from k/2 is cheap at any k
+    assert root_composition_count((0, 1), 10**6, 3, 1000003) == math.comb(10**6, 3)
+    assert root_composition_count((0, 1), 10**6, 1000002, 1000003) == 0
+    # a polynomial vanishing identically mod p needs no W at any k
     cubic = IntPolynomial.parse("0,-1,0,1")
     assert local_count(cubic, 800, 1, 3).obstruction_count == 3**799
+
+
+WT_GRID_KS = (1, 2, 3, 4, 7, 12, 30, 90, 250)
+
+
+def test_w_and_t_grid_matches_convolution():
+    # every p <= 13, up to 12 evenly spaced root sets of each size
+    # r <= min(p, 6), every k of WT_GRID_KS and every c: 21,366 (W, T)
+    # inputs against the convolutions of the roots and of the non-roots
+    inputs = 0
+    for p in SMALL_PRIMES:
+        for r in range(min(p, 6) + 1):
+            sets = list(itertools.combinations(range(p), r))
+            for roots in (sets[i * len(sets) // 12] for i in range(min(12, len(sets)))):
+                others = [x for x in range(p) if x not in roots]
+                w_dists = _cyclic_convolutions(roots, p, WT_GRID_KS)
+                t_dists = _cyclic_convolutions(others, p, WT_GRID_KS)
+                for k in WT_GRID_KS:
+                    refusal = _over_budget(p, k, r) if r >= 3 else None
+                    for c in range(p):
+                        inputs += 1
+                        if refusal:
+                            with pytest.raises(BudgetExceededError) as refused:
+                                root_composition_count(roots, k, c, p)
+                            assert str(refused.value) == refusal
+                            continue
+                        assert root_composition_count(roots, k, c, p) == w_dists[k][c]
+                        assert count_avoiding_tuples(p, roots, k, c) == t_dists[k][c]
+    assert inputs == 21366
 
 
 def test_count_avoiding_tuples_examples():
@@ -157,8 +266,6 @@ def test_count_avoiding_tuples_examples():
 
 
 def test_count_avoiding_tuples_matches_direct_enumeration():
-    import itertools
-
     for p in (2, 3, 5, 7):
         for roots in ((), (0,), (0, 1), (1, 3)):
             roots = tuple(r for r in roots if r < p)
@@ -533,6 +640,19 @@ def test_count_table_at_large_k_matches_per_target_counts():
         table = count_table(X_MINUS_X2, 5000, n)
         for c in sorted(rng.sample(range(n), 8)):
             assert table[c] == count(_q(X_MINUS_X2, 5000, c, n)).value, (n, c)
+
+
+def test_count_table_power_column_matches_walked_targets():
+    # x**3 - x has three roots mod 10007: its table column takes one power,
+    # since one walk per residue would cost more, while each single count
+    # takes the walk
+    cubic = IntPolynomial.parse("0,-1,0,1")
+    n = 3 * 10007
+    assert counting._w_strategy(10007, 6, 3) == "walk"
+    assert counting._w_strategy(10007, 6, 3, 10007) == "power"
+    table = count_table(cubic, 6, n)
+    for c in sorted(random.Random(12).sample(range(n), 8)):
+        assert table[c] == count(_q(cubic, 6, c, n)).value, c
 
 
 def test_degenerate_prime_contributions():
