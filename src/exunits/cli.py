@@ -10,8 +10,6 @@ one exits 2.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import sys
 
@@ -158,12 +156,7 @@ def cmd_table(ctx: click.Context, poly: str, k: int, n: int) -> None:
     if fmt == "json":
         click.echo(json.dumps([{"c": c, "value": str(v)} for c, v in enumerate(values)]))
     else:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["c", "value"])
-        for c, v in enumerate(values):
-            writer.writerow([c, v])
-        click.echo(buffer.getvalue(), nl=False)
+        click.echo("c,value\n" + "".join(f"{c},{v}\n" for c, v in enumerate(values)), nl=False)
 
 
 @cli.command("exunits")
@@ -183,9 +176,7 @@ def cmd_exunits(ctx: click.Context, poly: str, n: int) -> None:
         click.echo(json.dumps({"poly": f.to_text(), "n": n,
                                "exunits": list(members), "count": str(len(members))}))
     else:
-        for a in members:
-            click.echo(str(a))
-        click.echo(f"#E = {len(members)}")
+        click.echo("".join(f"{a}\n" for a in members) + f"#E = {len(members)}")
 
 
 @cli.command("verify")

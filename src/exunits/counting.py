@@ -23,21 +23,22 @@ assembly, regrouped to avoid rational arithmetic, is
     N(n) = prod over p**e || n of  p**((e-1)*(k-1)) * (p**(k-1) - M).
 
 The general, linear and split-quadratic routes run this one per-prime
-engine and differ only in the precondition they check against n. Per prime
-the roots come in closed form (coprime-linear or split-quadratic f) or from
-a scan, cached per polynomial and prime. With two roots {a, b}, W is the
-binomial class sum of C(k, j) over j == (c - b*k) / (a - b) (mod p): one
-math.comb when p > k, else one walk of j = 0..k/2 gives it at every
-two-root prime of a query (or at every residue, for a table), since
-C(k, j) = C(k, k - j). Above two roots W for every c at once is the k-th
-power of the root indicator in Z[x]/(x^p - 1), packed into one int
-(Kronecker substitution). Where p*k*log2 r makes that int long, W instead
-takes the first root j times, weighted by C(k, j), and walks the rest,
-keeping repeated sub-walks in a bounded memo. Each strategy estimates its
-seconds from (p, k, r) and the cheaper one runs; W is refused at once when
-even that estimate passes one budget. Brauer's unit-sum count and the
-exceptional-unit count (x and 1 - x both units) stay independent closed
-forms.
+engine and differ only in the precondition they check against n; it takes
+(p - r)**k, r**k, p**(k-1) and p**((e-1)*(k-1)) once per prime, for one W or
+a table column of them. Per prime the roots come in closed form
+(coprime-linear or split-quadratic f) or from a scan, cached per polynomial
+and prime. With two roots {a, b}, W is the binomial class sum of C(k, j)
+over j == (c - b*k) / (a - b) (mod p): one math.comb when p > k, else one
+walk of j = 0..k/2 gives it at every two-root prime of a query (or at every
+residue, for a table), since C(k, j) = C(k, k - j). Above two roots W for
+every c at once is the k-th power of the root indicator in Z[x]/(x^p - 1),
+packed into one int (Kronecker substitution). Where p*k*log2 r makes that
+int long, W instead takes the first root j times, weighted by C(k, j), and
+walks the rest, keeping repeated sub-walks in a bounded memo. Each strategy
+estimates its seconds from (p, k, r) and the cheaper one runs; W is refused
+at once when even that estimate passes one budget. Brauer's unit-sum count
+and the exceptional-unit count (x and 1 - x both units) stay independent
+closed forms.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import cycle, islice, repeat
+from operator import mul
 from typing import Sequence
 
 from .arith import factorize, is_prime, mod_inverse
@@ -218,16 +220,23 @@ def _two_root_sums(k: int, cases: Sequence[tuple[tuple[int, ...], int, int]]) ->
     return sums
 
 
-def _root_sum(roots: tuple[int, ...], k: int, c: int, p: int, memo: dict) -> int:
+def _root_sum(roots: tuple[int, ...], k: int, c: int, p: int, memo: dict | None = None) -> int:
     # W for distinct reduced roots and any k >= 0. One root x: every tuple
     # sums to k*x. Two roots: one class sum. More roots: the first, x, taken
     # j times fills C(k, j) position sets and leaves (k-j)-tuples of the
     # others summing to c - j*x. Sub-walks repeat, within a walk and across
     # the targets of the same roots, k and p, so memo keeps them by
-    # (r, k, c mod p); when full it starts over.
+    # (r, k, c mod p); when full it starts over. Without a memo: p**(k-1)
+    # for roots filling Z_p, and r >= 3 goes through root_composition_count.
     r = len(roots)
     if r <= 1:
         return int(r == 1 and (k * roots[0] - c) % p == 0)
+    if memo is None:
+        if r == p:
+            return p ** (k - 1)
+        if r > 2:
+            return root_composition_count(roots, k, c, p)
+        memo = {}
     key = (r, k, c % p)
     w = memo.get(key)
     if w is None:
@@ -346,20 +355,28 @@ def _w_memo(roots: tuple[int, ...], k: int, p: int) -> dict:
     return {}
 
 
-def _root_and_avoiding_sums(p: int, roots: tuple[int, ...], k: int, c: int,
-                            w: int | None = None) -> tuple[int, int]:
-    # (W, T) for the distinct reduced roots of f at p; W is computed unless
-    # given. When f vanishes identically mod p every tuple hits a root, so
-    # T = 0 with no W; up to two roots W needs no validation.
-    r = len(roots)
-    if r == p:
-        return p ** (k - 1), 0
-    if w is None:
-        w = _root_sum(roots, k, c, p, {}) if r <= 2 else root_composition_count(roots, k, c, p)
-    t, rem = divmod((p - r) ** k + (-1) ** k * (p * w - r**k), p)
-    if rem:
-        raise InvariantViolationError("avoiding-tuple count is not an integer")
-    return w, t
+def _local_factors(p: int, e: int, k: int, r: int, ws: Sequence[int]) -> tuple[int, list, list]:
+    # (p**(k-1), T, contributions) for the W values ws at p**e || n, where f
+    # has r distinct roots mod p; each power is taken once per call.
+    sign = (-1) ** k
+    base, step = (p - r) ** k - sign * r**k, sign * p
+    units = []
+    for w in ws:
+        t, rem = divmod(base + step * w, p)
+        if rem:
+            raise InvariantViolationError("avoiding-tuple count is not an integer")
+        units.append(t)
+    return _regrouped(p, e, k, units)
+
+
+def _regrouped(p: int, e: int, k: int, units: list[int]) -> tuple[int, list, list]:
+    # Range-check the nu_p = 1 factors T = p**(k-1) - M, then scale them by
+    # the prime-power regrouping factor; the closed forms share this check.
+    top = p ** (k - 1)
+    if not 0 <= min(units) <= max(units) <= top:
+        raise InvariantViolationError("per-prime factor out of range")
+    scale = p ** ((e - 1) * (k - 1))
+    return top, units, units if e == 1 else list(map(scale.__mul__, units))
 
 
 def count_avoiding_tuples(p: int, roots: Sequence[int], k: int, c: int) -> int:
@@ -371,7 +388,8 @@ def count_avoiding_tuples(p: int, roots: Sequence[int], k: int, c: int) -> int:
     """
     if k < 1:
         raise DomainError("k must be >= 1")
-    return _root_and_avoiding_sums(p, _validated_roots(tuple(roots), p), k, c)[1]
+    reduced = _validated_roots(tuple(roots), p)
+    return _local_factors(p, 1, k, len(reduced), (_root_sum(reduced, k, c, p),))[1][0]
 
 
 # The one roots cache, keyed by the coefficient tuple (cheaper to hash than
@@ -404,17 +422,9 @@ def local_count(f: IntPolynomial, k: int, c: int, p: int) -> RootProfile:
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     roots = _roots_for_prime(f.coeffs, p)
-    w, t = _root_and_avoiding_sums(p, roots, k, c % p)
-    return RootProfile(p, roots, len(roots), w, t, p ** (k - 1) - t)
-
-
-def _local_factor(p: int, e: int, k: int, unit: int) -> LocalFactor:
-    # unit is the nu_p = 1 contribution p**(k-1) - M; range-check it before
-    # scaling by the prime-power regrouping factor.
-    bound = p ** (k - 1)
-    if not 0 <= unit <= bound:
-        raise InvariantViolationError("per-prime factor out of range")
-    return LocalFactor(p, e, bound - unit, p ** ((e - 1) * (k - 1)) * unit)
+    w = _root_sum(roots, k, c % p, p)
+    top, (t,), _ = _local_factors(p, 1, k, len(roots), (w,))
+    return RootProfile(p, roots, len(roots), w, t, top - t)
 
 
 def _assemble(method: str, factors: list[LocalFactor]) -> CountReport:
@@ -425,22 +435,21 @@ def _assemble(method: str, factors: list[LocalFactor]) -> CountReport:
 
 
 def _per_prime_count(q: CountQuery, method: str) -> CountReport:
-    # The one engine behind every formula route: per prime, roots, then
-    # (W, T), then the regrouped factor; method only labels the report. The
-    # two-root primes take W from one shared binomial-row walk.
+    # The one engine behind every formula route (method only labels the
+    # report); the two-root primes take W from one shared binomial-row walk.
     k, c = q.k, q.c_reduced
-    primes = []
-    pairs = []
+    primes, pairs = [], []
     for p, e in factorize(q.n):
         roots = _roots_for_prime(q.f.coeffs, p)
         primes.append((p, e, roots))
         if len(roots) == 2 != p:
             pairs.append((roots, c, p))
-    w = dict(zip([p for _, _, p in pairs], _two_root_sums(k, pairs))) if pairs else {}
+    shared = iter(_two_root_sums(k, pairs) if pairs else ())
     factors = []
     for p, e, roots in primes:
-        _, t = _root_and_avoiding_sums(p, roots, k, c % p, w.get(p))
-        factors.append(_local_factor(p, e, k, t))
+        w = next(shared) if len(roots) == 2 != p else _root_sum(roots, k, c % p, p)
+        top, (t,), (value,) = _local_factors(p, e, k, len(roots), (w,))
+        factors.append(LocalFactor(p, e, top - t, value))
     return _assemble(method, factors)
 
 
@@ -479,14 +488,14 @@ def quadratic_count(q: CountQuery) -> CountReport:
 def count_table(f: IntPolynomial, k: int, n: int) -> list[int]:
     """N(k, f, c, n) for every target c in [0, n), from per-prime columns.
 
-    N depends on c only through c mod p at each p | n, so every prime gets
-    one column of p regrouped factors, one per residue, and row c is the
-    product of column[c % p] over the primes: sum(p) local evaluations
-    instead of one full count per row, and every residue of every two-root
-    prime takes its W from one binomial-row walk. A prime with r >= 3
-    roots takes every residue's W from one power when that is estimated
-    cheaper than a walk per residue. More than TABLE_ROW_BUDGET rows, or W
-    estimated past W_COST_BUDGET, are refused with BudgetExceededError.
+    N depends on c only through c mod p at each p | n, so each prime gets
+    one column of p regrouped factors, its powers taken once per column, and
+    the column multiplies into the rows in one pass (row c by column[c % p]):
+    sum(p) local evaluations, not a count per row. Every residue of every
+    two-root prime takes its W from one binomial-row walk; a prime with
+    r >= 3 roots takes every residue's W from one power when that is
+    estimated cheaper than a walk per residue. More than TABLE_ROW_BUDGET
+    rows, or W estimated past W_COST_BUDGET, raise BudgetExceededError.
     """
     CountQuery(f, k, 0, n)
     if n > TABLE_ROW_BUDGET:
@@ -495,17 +504,15 @@ def count_table(f: IntPolynomial, k: int, n: int) -> list[int]:
     strategies = {p: _w_strategy(p, k, len(roots), p)
                   for p, _, roots in primes if 3 <= len(roots) < p}
     pairs = [(roots, a, p) for p, _, roots in primes if len(roots) == 2 != p for a in range(p)]
-    w = {(a, p): s for (_, a, p), s in zip(pairs, _two_root_sums(k, pairs))}
-    values = [1] * n
+    shared = iter(_two_root_sums(k, pairs))
+    rows = [1] * n
     for p, e, roots in primes:
         if strategies.get(p) == "power":
             _w_memo(roots, k, p)[None] = _packed_root_sums(roots, k, p)
-        column = [_local_factor(p, e, k,
-                                _root_and_avoiding_sums(p, roots, k, a, w.get((a, p)))[1]).contribution
-                  for a in range(p)]
-        for c in range(n):
-            values[c] *= column[c % p]
-    return values
+        ws = (list(islice(shared, p)) if len(roots) == 2 != p
+              else [_root_sum(roots, k, a, p) for a in range(p)])
+        rows = list(map(mul, rows, cycle(_local_factors(p, e, k, len(roots), ws)[2])))
+    return rows
 
 
 def _check_k_n(k: int, n: int) -> None:
@@ -534,7 +541,8 @@ def brauer_count(k: int, c: int, n: int) -> CountReport:
         unit, rem = divmod(numerator, p)
         if rem:
             raise InvariantViolationError("unit-count per-prime factor is not an integer")
-        factors.append(_local_factor(p, e, k, unit))
+        top, _, (value,) = _regrouped(p, e, k, [unit])
+        factors.append(LocalFactor(p, e, top - unit, value))
     return _assemble("brauer", factors)
 
 
@@ -558,7 +566,8 @@ def yang_zhao_count(k: int, c: int, n: int) -> CountReport:
         unit, rem = divmod(sign * bracket, p)
         if rem:
             raise InvariantViolationError("exceptional-unit per-prime factor is not an integer")
-        factors.append(_local_factor(p, e, k, unit))
+        top, _, (value,) = _regrouped(p, e, k, [unit])
+        factors.append(LocalFactor(p, e, top - unit, value))
     return _assemble("yang_zhao", factors)
 
 

@@ -1,14 +1,18 @@
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
 import time
 
+import pytest
+
 from click.testing import CliRunner
 
 from exunits.cli import cli
-from exunits.counting import CountQuery, count
-from exunits.poly import IntPolynomial
+from exunits.counting import CountQuery, count, count_table
+from exunits.poly import IntPolynomial, exunit_set
 
 
 def run(*args):
@@ -192,6 +196,34 @@ def test_table_json():
                     {"c": 4, "value": "1"}]
 
 
+@pytest.mark.parametrize("poly, k, n", [
+    ("0,1", 2, 1),            # n = 1: one row
+    ("0,1,-1", 2, 6),         # no exunit mod 2: every value is 0
+    ("0,0,2", 3, 6),          # r = p at p = 2
+    ("0,-1,0,1", 445, 1001),  # three roots at every prime: power columns
+    ("0,1", 6000, 30),        # values past 4300 digits
+])
+def test_table_bytes_match_csv_writer_and_json_rows(poly, k, n):
+    values = count_table(IntPolynomial.parse(poly), k, n)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(["c", "value"])
+        writer.writerows(enumerate(values))
+        rows = json.dumps([{"c": c, "value": str(v)} for c, v in enumerate(values)])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    args = ("table", "--poly", poly, "--k", str(k), "--n", str(n))
+    as_csv = run(*args)
+    assert as_csv.exit_code == 0
+    assert as_csv.stdout == buffer.getvalue()
+    as_json = run("--format", "json", *args)
+    assert as_json.exit_code == 0
+    assert as_json.stdout == rows + "\n"
+
+
 def test_table_over_budget_exits_2():
     power = run("table", "--poly", "0,-1,0,1", "--k", "1000000", "--n", "7")
     assert power.exit_code == 2
@@ -248,6 +280,12 @@ def test_exunits_listing():
     assert empty.output == "#E = 0\n"
     units = run("exunits", "--poly", "0,1", "--n", "6")
     assert units.output == "1\n5\n#E = 2\n"
+    # one line per member, then the count, at n = 1 and past numpy's cutoff
+    for poly, n in (("0,1", 1), ("0,1", 10**4), ("0,1,-1", 10**4)):
+        members = exunit_set(IntPolynomial.parse(poly), n)
+        result = run("exunits", "--poly", poly, "--n", str(n))
+        assert result.exit_code == 0
+        assert result.stdout.split("\n") == [*map(str, members), f"#E = {len(members)}", ""]
 
 
 def test_exunits_budget_error():

@@ -23,7 +23,12 @@ from exunits.counting import (
     yang_zhao_count,
 )
 from exunits.arith import factorize, mod_inverse
-from exunits.errors import BudgetExceededError, DomainError, FastPathInapplicableError
+from exunits.errors import (
+    BudgetExceededError,
+    DomainError,
+    FastPathInapplicableError,
+    InvariantViolationError,
+)
 from exunits.oracle import oracle_global_count, oracle_global_count_dp, oracle_local_count
 from exunits.poly import IntPolynomial, LinearCoprime, SplitQuadratic, classify, exunit_set
 from exunits.verify import DEFAULT_POLYNOMIALS, _independent_count
@@ -653,6 +658,47 @@ def test_count_table_power_column_matches_walked_targets():
     table = count_table(cubic, 6, n)
     for c in sorted(random.Random(12).sample(range(n), 8)):
         assert table[c] == count(_q(cubic, 6, c, n)).value, c
+
+
+@pytest.mark.parametrize("text, source", [
+    ("0,1,-1", "_two_root_sums"),             # x - x**2: two roots mod 5 and 7
+    ("0,-1,0,1", "root_composition_count"),   # x**3 - x: three roots mod 5 and 7
+])
+def test_shared_local_factors_keep_both_invariant_checks(monkeypatch, text, source):
+    # T = ((p - r)**k + (-1)**k * (p*W - r**k)) / p takes W only as p*W, so
+    # the remainder check sees a numerator one off a multiple of p (W + 1/p)
+    # and the range check a T off by p**k (W + p**k). Both the column and
+    # the single-query paths must raise through them.
+    f, original = IntPolynomial.parse(text), getattr(counting, source)
+
+    def perturbed(offset):
+        def two_root_sums(k, cases):
+            return [w + offset(p) for w, (_, _, p) in zip(original(k, cases), cases)]
+
+        def one_root_sum(roots, k, c, p):
+            return original(roots, k, c, p) + offset(p)
+        return two_root_sums if source == "_two_root_sums" else one_root_sum
+
+    for offset, match in ((lambda p: Fraction(1, p), "not an integer"),
+                          (lambda p: p**3, "out of range")):
+        monkeypatch.setattr(counting, source, perturbed(offset))
+        counting._w_memo.cache_clear()
+        with pytest.raises(InvariantViolationError, match=match):
+            count_table(f, 3, 35)
+        with pytest.raises(InvariantViolationError, match=match):
+            global_count(_q(f, 3, 1, 35))
+        if source == "root_composition_count":
+            with pytest.raises(InvariantViolationError, match=match):
+                local_count(f, 3, 1, 7)
+            with pytest.raises(InvariantViolationError, match=match):
+                count_avoiding_tuples(7, (0, 1, 6), 3, 1)
+    # a unit outside [0, p**(k-1)] is refused, its ends are not; the closed
+    # forms regroup through the same check
+    with pytest.raises(InvariantViolationError, match="out of range"):
+        counting._regrouped(7, 1, 3, [-1])
+    with pytest.raises(InvariantViolationError, match="out of range"):
+        counting._regrouped(7, 2, 3, [0, 50])
+    assert counting._regrouped(7, 2, 3, [0, 49]) == (49, [0, 49], [0, 49**2])
 
 
 def test_degenerate_prime_contributions():
