@@ -73,14 +73,6 @@ class PrimeFactorization:
     def __iter__(self):
         return iter(self.entries)
 
-    @property
-    def value(self) -> int:
-        """The integer this factorization reconstructs."""
-        out = 1
-        for p, e in self.entries:
-            out *= p**e
-        return out
-
 
 def _strong_probable_prime(n: int, a: int) -> bool:
     """Strong probable-prime (Miller-Rabin) test of odd n > 2 to base a."""

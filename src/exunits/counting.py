@@ -22,23 +22,23 @@ assembly, regrouped to avoid rational arithmetic, is
 
     N(n) = prod over p**e || n of  p**((e-1)*(k-1)) * (p**(k-1) - M).
 
-The general, linear and split-quadratic routes run this one per-prime
-engine and differ only in the precondition they check against n; it takes
-(p - r)**k, r**k, p**(k-1) and p**((e-1)*(k-1)) once per prime, for one W or
-a table column of them. Per prime the roots come in closed form
-(coprime-linear or split-quadratic f) or from a scan, cached per polynomial
-and prime. With two roots {a, b}, W is the binomial class sum of C(k, j)
-over j == (c - b*k) / (a - b) (mod p): one math.comb when p > k, else one
-walk of j = 0..k/2 gives it at every two-root prime of a query (or at every
-residue, for a table), since C(k, j) = C(k, k - j). Above two roots W for
-every c at once is the k-th power of the root indicator in Z[x]/(x^p - 1),
-packed into one int (Kronecker substitution). Where p*k*log2 r makes that
-int long, W instead takes the first root j times, weighted by C(k, j), and
-walks the rest, keeping repeated sub-walks in a bounded memo. Each strategy
-estimates its seconds from (p, k, r) and the cheaper one runs; W is refused
-at once when even that estimate passes one budget. Brauer's unit-sum count
-and the exceptional-unit count (x and 1 - x both units) stay independent
-closed forms.
+Single counts (the general, linear and split-quadratic routes differ only
+in the precondition they check against n), tables and local_count run one
+per-prime pass over a set of targets: c mod p, or every residue for a table.
+Per prime it takes the roots (closed form for coprime-linear or
+split-quadratic f, else a scan; cached), prices every W strategy before any
+W starts, gets W for every target, and takes (p - r)**k, r**k, p**(k-1) and
+p**((e-1)*(k-1)) once to turn them into T and the regrouped factors. W is
+a closed form at r = 0, 1 and p. With two roots {a, b} it is the binomial
+class sum of C(k, j) over j == (c - b*k) / (a - b) (mod p): one math.comb
+when p > k, else one walk of j = 0..k/2 serves every two-root prime and
+target, since C(k, j) = C(k, k - j). Above two roots W for every c at once
+is the k-th power of the root indicator in Z[x]/(x^p - 1), packed into one
+int (Kronecker substitution); where p*k*log2 r makes that int long, W takes
+the first root j times, weighted by C(k, j), and walks the rest, keeping
+sub-walks in a bounded memo. The cheaper estimate for that many targets
+runs, and W is refused at once when even it passes one budget. Brauer's
+unit-sum count and the exceptional-unit count stay independent closed forms.
 """
 
 from __future__ import annotations
@@ -46,9 +46,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import cycle, islice, repeat
+from itertools import cycle, repeat
 from operator import mul
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .arith import factorize, is_prime, mod_inverse
 from .errors import (
@@ -127,14 +127,12 @@ class RootProfile:
 
     p: int
     roots: tuple[int, ...]
-    root_count: int
     root_sum_count: int        # k-tuples drawn from the roots, summing to c
     avoiding_sum_count: int    # k-tuples avoiding every root, summing to c
     obstruction_count: int     # p**(k-1) - avoiding_sum_count
 
 
-@dataclass(frozen=True)
-class LocalFactor:
+class LocalFactor(NamedTuple):
     """Per-prime record of a count: obstruction count and integer contribution."""
 
     p: int
@@ -220,23 +218,16 @@ def _two_root_sums(k: int, cases: Sequence[tuple[tuple[int, ...], int, int]]) ->
     return sums
 
 
-def _root_sum(roots: tuple[int, ...], k: int, c: int, p: int, memo: dict | None = None) -> int:
+def _root_sum(roots: tuple[int, ...], k: int, c: int, p: int, memo: dict) -> int:
     # W for distinct reduced roots and any k >= 0. One root x: every tuple
     # sums to k*x. Two roots: one class sum. More roots: the first, x, taken
     # j times fills C(k, j) position sets and leaves (k-j)-tuples of the
     # others summing to c - j*x. Sub-walks repeat, within a walk and across
     # the targets of the same roots, k and p, so memo keeps them by
-    # (r, k, c mod p); when full it starts over. Without a memo: p**(k-1)
-    # for roots filling Z_p, and r >= 3 goes through root_composition_count.
+    # (r, k, c mod p); when full it starts over.
     r = len(roots)
     if r <= 1:
         return int(r == 1 and (k * roots[0] - c) % p == 0)
-    if memo is None:
-        if r == p:
-            return p ** (k - 1)
-        if r > 2:
-            return root_composition_count(roots, k, c, p)
-        memo = {}
     key = (r, k, c % p)
     w = memo.get(key)
     if w is None:
@@ -341,7 +332,7 @@ def root_composition_count(roots: Sequence[int], k: int, c: int, p: int) -> int:
     if r <= 2:
         return _root_sum(reduced, k, c, p, {})
     memo = _w_memo(reduced, k, p)
-    if None not in memo and _w_strategy(p, k, r) == "power":
+    if not memo and _w_strategy(p, k, r) == "power":
         memo[None] = _packed_root_sums(reduced, k, p)
     sums = memo.get(None)
     return _root_sum(reduced, k, c, p, memo) if sums is None else sums[c % p]
@@ -351,7 +342,8 @@ def root_composition_count(roots: Sequence[int], k: int, c: int, p: int) -> int:
 def _w_memo(roots: tuple[int, ...], k: int, p: int) -> dict:
     # What W found for the last roots, k and p: W for every target under
     # None once the power ran, else the walk's sub-sums. Both hold for every
-    # target c, so the residues of a table column share them.
+    # target c, so the residues of a table column share them, and a strategy
+    # is chosen only while it is empty.
     return {}
 
 
@@ -386,10 +378,8 @@ def count_avoiding_tuples(p: int, roots: Sequence[int], k: int, c: int) -> int:
     always an exact integer; a nonzero remainder is a bug, never an input
     condition.
     """
-    if k < 1:
-        raise DomainError("k must be >= 1")
-    reduced = _validated_roots(tuple(roots), p)
-    return _local_factors(p, 1, k, len(reduced), (_root_sum(reduced, k, c, p),))[1][0]
+    w = root_composition_count(roots, k, c, p)
+    return _local_factors(p, 1, k, len(roots), (w,))[1][0]
 
 
 # The one roots cache, keyed by the coefficient tuple (cheaper to hash than
@@ -411,6 +401,45 @@ def _roots_for_prime(coeffs: tuple[int, ...], p: int) -> tuple[int, ...]:
     return root_set_mod_p(f, p)
 
 
+def _local_columns(coeffs: tuple[int, ...], k: int, primes: Iterable[tuple[int, int]],
+                   c: int | None) -> list[tuple]:
+    # (p, e, roots, ws, (p**(k-1), T values, contributions)) for each p**e
+    # in primes, where ws holds W for the target c mod p, or for every
+    # residue when c is None. Every W is priced before any starts: r >= 3 by
+    # the chooser for that many targets, then r = 2 in _two_root_sums, whose
+    # one walk serves every two-root prime and target.
+    found, pairs = [], []
+    for p, e in primes:
+        roots = _roots_for_prime(coeffs, p)
+        targets = (c % p,) if c is not None else range(p)
+        r = len(roots)
+        power = False
+        if r == 2 != p:
+            pairs += [(roots, a, p) for a in targets]
+        elif 2 < r < p:
+            power = _w_strategy(p, k, r, len(targets)) == "power"
+        found.append((p, e, roots, targets, power))
+    shared, at = _two_root_sums(k, pairs) if pairs else [], 0
+    columns = []
+    for p, e, roots, targets, power in found:
+        r = len(roots)
+        if r <= 1:         # every tuple sums to k*x
+            ws = [0] * len(targets)
+            if roots and k * roots[0] % p in targets:
+                ws[targets.index(k * roots[0] % p)] = 1
+        elif r == p:
+            ws = [p ** (k - 1)] * len(targets)
+        elif r == 2:
+            ws, at = shared[at:at + len(targets)], at + len(targets)
+        else:
+            memo = _w_memo(roots, k, p)
+            if power and None not in memo:
+                memo[None] = _packed_root_sums(roots, k, p)
+            ws = [root_composition_count(roots, k, a, p) for a in targets]
+        columns.append((p, e, roots, ws, _local_factors(p, e, k, r, ws)))
+    return columns
+
+
 def local_count(f: IntPolynomial, k: int, c: int, p: int) -> RootProfile:
     """The local data of f at the prime p for arity k and target c.
 
@@ -421,36 +450,17 @@ def local_count(f: IntPolynomial, k: int, c: int, p: int) -> RootProfile:
         raise DomainError("k must be >= 2")
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
-    roots = _roots_for_prime(f.coeffs, p)
-    w = _root_sum(roots, k, c % p, p)
-    top, (t,), _ = _local_factors(p, 1, k, len(roots), (w,))
-    return RootProfile(p, roots, len(roots), w, t, top - t)
-
-
-def _assemble(method: str, factors: list[LocalFactor]) -> CountReport:
-    value = 1
-    for factor in factors:
-        value *= factor.contribution
-    return CountReport(value, method, tuple(factors))
+    ((_, _, roots, (w,), (top, (t,), _)),) = _local_columns(f.coeffs, k, [(p, 1)], c)
+    return RootProfile(p, roots, w, t, top - t)
 
 
 def _per_prime_count(q: CountQuery, method: str) -> CountReport:
-    # The one engine behind every formula route (method only labels the
-    # report); the two-root primes take W from one shared binomial-row walk.
-    k, c = q.k, q.c_reduced
-    primes, pairs = [], []
-    for p, e in factorize(q.n):
-        roots = _roots_for_prime(q.f.coeffs, p)
-        primes.append((p, e, roots))
-        if len(roots) == 2 != p:
-            pairs.append((roots, c, p))
-    shared = iter(_two_root_sums(k, pairs) if pairs else ())
-    factors = []
-    for p, e, roots in primes:
-        w = next(shared) if len(roots) == 2 != p else _root_sum(roots, k, c % p, p)
-        top, (t,), (value,) = _local_factors(p, e, k, len(roots), (w,))
-        factors.append(LocalFactor(p, e, top - t, value))
-    return _assemble(method, factors)
+    # The engine behind every formula route; method only labels the report.
+    value, factors = 1, []
+    for p, e, _, _, (top, (t,), (part,)) in _local_columns(q.f.coeffs, q.k, factorize(q.n), q.c):
+        value *= part
+        factors.append(LocalFactor(p, e, top - t, part))
+    return CountReport(value, method, tuple(factors))
 
 
 def global_count(q: CountQuery) -> CountReport:
@@ -500,18 +510,9 @@ def count_table(f: IntPolynomial, k: int, n: int) -> list[int]:
     CountQuery(f, k, 0, n)
     if n > TABLE_ROW_BUDGET:
         raise BudgetExceededError(f"n = {n} exceeds the table budget {TABLE_ROW_BUDGET}")
-    primes = [(p, e, _roots_for_prime(f.coeffs, p)) for p, e in factorize(n)]
-    strategies = {p: _w_strategy(p, k, len(roots), p)
-                  for p, _, roots in primes if 3 <= len(roots) < p}
-    pairs = [(roots, a, p) for p, _, roots in primes if len(roots) == 2 != p for a in range(p)]
-    shared = iter(_two_root_sums(k, pairs))
     rows = [1] * n
-    for p, e, roots in primes:
-        if strategies.get(p) == "power":
-            _w_memo(roots, k, p)[None] = _packed_root_sums(roots, k, p)
-        ws = (list(islice(shared, p)) if len(roots) == 2 != p
-              else [_root_sum(roots, k, a, p) for a in range(p)])
-        rows = list(map(mul, rows, cycle(_local_factors(p, e, k, len(roots), ws)[2])))
+    for *_, (_, _, contributions) in _local_columns(f.coeffs, k, factorize(n), None):
+        rows = list(map(mul, rows, cycle(contributions)))
     return rows
 
 
@@ -532,7 +533,7 @@ def brauer_count(k: int, c: int, n: int) -> CountReport:
     """
     _check_k_n(k, n)
     c %= n
-    factors = []
+    value, factors = 1, []
     for p, e in factorize(n):
         if c % p == 0:
             numerator = (p - 1) * ((p - 1) ** (k - 1) - (-1) ** (k - 1))
@@ -541,9 +542,10 @@ def brauer_count(k: int, c: int, n: int) -> CountReport:
         unit, rem = divmod(numerator, p)
         if rem:
             raise InvariantViolationError("unit-count per-prime factor is not an integer")
-        top, _, (value,) = _regrouped(p, e, k, [unit])
-        factors.append(LocalFactor(p, e, top - unit, value))
-    return _assemble("brauer", factors)
+        top, _, (part,) = _regrouped(p, e, k, [unit])
+        value *= part
+        factors.append(LocalFactor(p, e, top - unit, part))
+    return CountReport(value, "brauer", tuple(factors))
 
 
 def yang_zhao_count(k: int, c: int, n: int) -> CountReport:
@@ -560,15 +562,16 @@ def yang_zhao_count(k: int, c: int, n: int) -> CountReport:
     # S is W for the root pair {1, 0}
     primes = factorize(n)
     sums = _two_root_sums(k, [((1, 0), c, p) for p, _ in primes])
-    factors = []
+    value, factors = 1, []
     for (p, e), s in zip(primes, sums):
         bracket = p * s + (2 - p) ** k - 2**k
         unit, rem = divmod(sign * bracket, p)
         if rem:
             raise InvariantViolationError("exceptional-unit per-prime factor is not an integer")
-        top, _, (value,) = _regrouped(p, e, k, [unit])
-        factors.append(LocalFactor(p, e, top - unit, value))
-    return _assemble("yang_zhao", factors)
+        top, _, (part,) = _regrouped(p, e, k, [unit])
+        value *= part
+        factors.append(LocalFactor(p, e, top - unit, part))
+    return CountReport(value, "yang_zhao", tuple(factors))
 
 
 def count(q: CountQuery, method: str = "auto") -> CountReport:

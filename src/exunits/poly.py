@@ -35,10 +35,10 @@ __all__ = [
 ROOT_SCAN_CAP = 10**7
 DEFAULT_ENUM_BUDGET = 10**6
 
-# int64 Horner stays exact while modulus**2 + modulus < 2**63; below
+# int64 Horner stays exact while modulus**2 + modulus < 2**63, which every
+# modulus here (at most ROOT_SCAN_CAP or DEFAULT_ENUM_BUDGET) keeps; below
 # _NUMPY_MIN_SIZE a plain loop beats the array overhead. numpy is imported
 # inside the vectorised branches only, so small queries never load it.
-_NUMPY_MODULUS_LIMIT = 2**31
 _NUMPY_MIN_SIZE = 64
 _BLOCK = 1 << 20
 
@@ -146,7 +146,7 @@ def root_set_mod_p(f: IntPolynomial, p: int) -> tuple[int, ...]:
         raise DomainError(f"{p} is not prime")
     if p > ROOT_SCAN_CAP:
         raise BudgetExceededError(f"prime {p} exceeds the root-scan cap {ROOT_SCAN_CAP}")
-    if _NUMPY_MIN_SIZE <= p < _NUMPY_MODULUS_LIMIT:
+    if p >= _NUMPY_MIN_SIZE:
         import numpy as np
 
         roots: list[int] = []
@@ -157,13 +157,13 @@ def root_set_mod_p(f: IntPolynomial, p: int) -> tuple[int, ...]:
     return tuple(x for x in range(p) if _horner_mod(f.coeffs, x, p) == 0)
 
 
-def exunit_set(f: IntPolynomial, n: int, budget: int = DEFAULT_ENUM_BUDGET) -> tuple[int, ...]:
+def exunit_set(f: IntPolynomial, n: int) -> tuple[int, ...]:
     """The f-exunits mod n: all a in [0, n) with gcd(f(a), n) = 1, ascending."""
     if n < 1:
         raise DomainError("n must be >= 1")
-    if n > budget:
-        raise BudgetExceededError(f"n = {n} exceeds the enumeration budget {budget}")
-    if _NUMPY_MIN_SIZE <= n < _NUMPY_MODULUS_LIMIT:
+    if n > DEFAULT_ENUM_BUDGET:
+        raise BudgetExceededError(f"n = {n} exceeds the enumeration budget {DEFAULT_ENUM_BUDGET}")
+    if n >= _NUMPY_MIN_SIZE:
         import numpy as np
 
         members: list[int] = []

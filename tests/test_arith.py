@@ -63,7 +63,7 @@ def test_factorize_rejects_nonpositive():
 
 def test_factorize_reconstructs_everything_up_to_10000():
     for n in range(1, 10001):
-        assert factorize(n).value == n
+        assert math.prod(p**e for p, e in factorize(n)) == n
 
 
 def test_factorize_splits_semiprime_beyond_trial_division():
@@ -159,7 +159,7 @@ def test_factorize_splits_seeded_semiprimes_below_the_bound():
             p = _random_prime(rng, lo, hi)
             q = _random_prime(rng, lo, hi)
             arith._factorize_cached.cache_clear()
-            assert factorize(p * q).value == p * q
+            assert math.prod(f**e for f, e in factorize(p * q)) == p * q
             assert {f for f, _ in factorize(p * q)} == {p, q}
 
 
@@ -243,7 +243,7 @@ def test_mod_inverse_rejects_multiples_of_modulus():
 @settings(max_examples=50, deadline=None)
 def test_factorize_entries_are_prime_and_sorted(n):
     fac = factorize(n)
-    assert fac.value == n
+    assert math.prod(p**e for p, e in fac) == n
     assert all(is_prime(p) and e >= 1 for p, e in fac)
     primes = [p for p, _ in fac]
     assert primes == sorted(set(primes))

@@ -107,6 +107,13 @@ def test_count_over_budget_exits_2_before_computing():
     assert walk.stdout == ""
     assert walk.stderr == ("error: binomial class sums at k = 1000000: estimated 130 s, "
                            "over the W budget of 2 s\n")
+    # x(x - 1)(x - 3): the three roots mod 10007 are refused before the
+    # two-root walk mod 3 starts
+    started = time.perf_counter()
+    many = run("count", "--poly", "0,3,-4,1", "--k", "100000", "--c", "1", "--n", "30021")
+    assert time.perf_counter() - started < 0.5
+    assert many.exit_code == 2
+    assert many.stderr.startswith("error: W for 3 roots mod 10007 at k = 100000: ")
     # x - x**2 has no exunit mod 10**7, so only the scan's charge refuses it
     started = time.perf_counter()
     scan = run("count", "--poly", "0,1,-1", "--k", "2", "--c", "0", "--n", "10000000",

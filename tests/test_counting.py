@@ -235,6 +235,18 @@ def test_root_composition_budget():
     assert local_count(cubic, 800, 1, 3).obstruction_count == 3**799
 
 
+def test_single_count_prices_every_w_before_any_runs():
+    # x(x - 1)(x - 3) has two roots mod 3 and three mod 10007: at k = 10**5
+    # the r = 3 prime is refused before the two-root walk mod 3 (about a
+    # second) starts. The first count takes the roots mod 10007.
+    f = IntPolynomial.parse("0,3,-4,1")
+    assert count(CountQuery(f, 2, 1, 3 * 10007)).value > 0
+    started = time.perf_counter()
+    with pytest.raises(BudgetExceededError, match=r"^W for 3 roots mod 10007 at k = 100000: "):
+        count(CountQuery(f, 100000, 1, 3 * 10007))
+    assert time.perf_counter() - started < 0.25
+
+
 WT_GRID_KS = (1, 2, 3, 4, 7, 12, 30, 90, 250)
 
 
@@ -312,9 +324,9 @@ def test_local_count_examples():
 def test_local_count_degenerate_root_counts():
     # no roots: M = 0; full root set: M = p**(k-1)
     none = local_count(X2_PLUS_1, 3, 1, 3)
-    assert none.root_count == 0 and none.obstruction_count == 0
+    assert len(none.roots) == 0 and none.obstruction_count == 0
     full = local_count(IntPolynomial((3, 3)), 3, 1, 3)
-    assert full.root_count == 3 and full.obstruction_count == 9
+    assert len(full.roots) == 3 and full.obstruction_count == 9
 
 
 def test_local_count_profile_consistency(family):
@@ -323,9 +335,10 @@ def test_local_count_profile_consistency(family):
             for k in (2, 3):
                 for c in range(p):
                     prof = local_count(f, k, c, p)
-                    assert 0 <= prof.root_count <= p
-                    assert 0 <= prof.root_sum_count <= prof.root_count**k
-                    assert 0 <= prof.avoiding_sum_count <= (p - prof.root_count) ** k
+                    r = len(prof.roots)
+                    assert 0 <= r <= p
+                    assert 0 <= prof.root_sum_count <= r**k
+                    assert 0 <= prof.avoiding_sum_count <= (p - r) ** k
                     assert prof.obstruction_count == p ** (k - 1) - prof.avoiding_sum_count
                     assert 0 <= prof.obstruction_count <= p ** (k - 1)
 
@@ -343,7 +356,7 @@ def test_local_count_closed_form_roots_for_large_prime():
     # linear and split-quadratic forms get their roots without a scan
     p = 2**61 - 1
     prof = local_count(IntPolynomial.parse("3,2"), 2, 1, p)
-    assert prof.root_count == 1
+    assert len(prof.roots) == 1
     prof2 = local_count(X_MINUS_X2, 2, 1, p)
     assert prof2.roots == (0, 1)
 
@@ -462,6 +475,26 @@ def test_count_table_matches_per_target_counts(text):
         for n in range(1, 61):
             assert count_table(f, k, n) == [count(_q(f, k, c, n)).value
                                             for c in range(n)], (text, k, n)
+
+
+def test_closed_form_columns_take_no_root_sum(monkeypatch):
+    # x has one root and 99991*x vanishes identically mod 99991, so both
+    # columns are closed forms and no residue takes a walk of its own
+    calls = []
+    original = counting._root_sum
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(counting, "_root_sum", counted)
+    p = 99991
+    table = count_table(X, 50, p)
+    assert sum(table) == (p - 1) ** 50
+    assert [table[c] for c in (0, 1, p - 1)] == [count(_q(X, 50, c, p)).value
+                                                  for c in (0, 1, p - 1)]
+    assert count_table(IntPolynomial((0, p)), 50, p) == [0] * p
+    assert calls == []
 
 
 def test_count_table_edges():

@@ -5,6 +5,7 @@ import pytest
 from exunits.arith import factorize, is_prime
 from exunits.errors import BudgetExceededError, DomainError
 from exunits.poly import (
+    DEFAULT_ENUM_BUDGET,
     General,
     IntPolynomial,
     LinearCoprime,
@@ -98,8 +99,9 @@ def test_exunit_set_matches_definition_above_vector_threshold():
 
 
 def test_exunit_set_budget():
-    with pytest.raises(BudgetExceededError):
-        exunit_set(X_MINUS_X2, 1001, budget=1000)
+    # refused before any scan
+    with pytest.raises(BudgetExceededError, match="exceeds the enumeration budget 1000000"):
+        exunit_set(X_MINUS_X2, DEFAULT_ENUM_BUDGET + 1)
 
 
 def test_exunit_set_size_has_per_prime_shape(family):
